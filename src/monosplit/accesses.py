@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 READ = "R"
 WRITE = "W"
@@ -27,12 +30,19 @@ class Functionality:
     name: str
     trace: tuple[Access, ...]  # ordered, consecutive duplicates preserved
 
-    def entities(self) -> frozenset[str]:
-        return frozenset(a.entity for a in self.trace)
 
-    def access_pairs(self) -> frozenset[tuple[str, str]]:
-        """Distinct (entity, mode) pairs touched by this functionality."""
-        return frozenset((a.entity, a.mode) for a in self.trace)
+@dataclass(frozen=True)
+class Incidence:
+    """Integer views of the traces: functionalities in model order, entities in sorted order."""
+
+    read: np.ndarray  # (functionalities, entities): 1 where the functionality reads the entity
+    write: np.ndarray  # (functionalities, entities): 1 where it writes the entity
+    touch: np.ndarray  # (functionalities, entities): 1 where it reads or writes the entity
+    # Directed trace adjacency (entities x entities), kept as its nonzero entries:
+    # some trace steps straight from entity step_from[i] to entity step_to[i].
+    step_from: np.ndarray
+    step_to: np.ndarray
+    max_splitting_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
 
 
 class AccessModel:
@@ -58,6 +68,34 @@ class AccessModel:
                 index[a.entity][a.mode].add(f.name)
                 index[a.entity][ANY].add(f.name)
         self._by_entity = index
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Read, write and adjacency arrays, built on first use."""
+        n = len(self.entities)
+        column = {e: i for i, e in enumerate(self.entities)}
+        cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
+        steps: set[int] = set()  # from * n + to
+        for row, funct in enumerate(self.functionalities):
+            path = [column[a.entity] for a in funct.trace]
+            for access, entity in zip(funct.trace, path):
+                cells[access.mode].append(row * n + entity)
+            steps.update(a * n + b for a, b in zip(path, path[1:]))
+        read = np.zeros((len(self.functionalities), n), dtype=np.int64)
+        write = np.zeros_like(read)
+        read.flat[cells[READ]] = 1
+        write.flat[cells[WRITE]] = 1
+        step_from, step_to = np.divmod(np.array(sorted(steps), dtype=np.intp), n)
+        # A functionality touching two entities is split by the all-singletons
+        # decomposition; each of its distinct (entity, mode) accesses costs one
+        # per other such functionality touching that entity in any mode.
+        touch = read | write
+        distributed = touch.sum(axis=1) >= 2
+        touchers = touch[distributed].sum(axis=0)
+        accesses = (read + write)[distributed].sum(axis=0)
+        return Incidence(
+            read, write, touch, step_from, step_to, int(accesses @ (touchers - 1))
+        )
 
     def functionalities_accessing(self, entity: str, mode: str = ANY) -> frozenset[str]:
         """Names of functionalities that access `entity` in `mode` (ANY = read or write)."""

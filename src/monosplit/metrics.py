@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .accesses import READ, AccessModel
+import numpy as np
+
+from .accesses import AccessModel
 from .clustering import Decomposition
 from .history import DevelopmentHistory
 
@@ -14,25 +15,77 @@ class MetricsError(ValueError):
     """Invalid metric input."""
 
 
-def _assignment(decomposition: Decomposition) -> dict[str, int]:
+@dataclass(frozen=True)
+class _Partition:
+    """A decomposition over the model's sorted entities."""
+
+    labels: np.ndarray  # cluster index of each model entity
+    membership: np.ndarray  # one-hot H, model entities x clusters
+    sizes: list[int]  # members per cluster, counting members no trace mentions
+
+
+def _partition(decomposition: Decomposition, model: AccessModel) -> _Partition:
+    """Cluster matrix of the decomposition, verified to cover every entity of the model."""
     if decomposition.n_clusters == 0:
         raise MetricsError("decomposition has no clusters")
-    return decomposition.assignment()
-
-
-def _cluster_of(assignment: dict[str, int], entity: str) -> int:
+    assignment = decomposition.assignment()
     try:
-        return assignment[entity]
-    except KeyError:
-        raise MetricsError(f"trace entity missing from decomposition: {entity!r}") from None
+        labels = np.array([assignment[entity] for entity in model.entities], dtype=np.intp)
+    except KeyError as exc:
+        raise MetricsError(f"trace entity missing from decomposition: {exc.args[0]!r}") from None
+    membership = np.eye(decomposition.n_clusters, dtype=np.int64)[labels]
+    return _Partition(labels, membership, [len(cluster) for cluster in decomposition.clusters])
 
 
-def _covered_assignment(decomposition: Decomposition, model: AccessModel) -> dict[str, int]:
-    """Assignment map, verified to cover every entity the model mentions."""
-    assignment = _assignment(decomposition)
-    for entity in model.entities:
-        _cluster_of(assignment, entity)
-    return assignment
+def _splitting_cost(model: AccessModel, partition: _Partition) -> int:
+    """Summed opposite-mode peers over the distinct accesses of distributed functionalities.
+
+    With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d, a
+    read of e by f pays w_e less f's own write of e, and a write pays r_e less
+    f's own read, so the total is 2 * sum_e (r_e * w_e - b_e).
+    """
+    incidence = model.incidence
+    spread = (incidence.touch @ partition.membership > 0).sum(axis=1)
+    distributed = (spread >= 2).astype(np.int64)
+    readers = distributed @ incidence.read
+    writers = distributed @ incidence.write
+    both = distributed @ (incidence.read & incidence.write)
+    return 2 * int(readers @ writers - both.sum())
+
+
+def _uniform_complexity(model: AccessModel, partition: _Partition) -> float:
+    ceiling = max_complexity(model)
+    if ceiling == 0:
+        return 0.0
+    return _splitting_cost(model, partition) / len(model.functionalities) / ceiling
+
+
+def _cohesion(model: AccessModel, partition: _Partition) -> float:
+    total = 0.0
+    touched = (model.incidence.touch @ partition.membership).T.tolist()
+    for counts, size in zip(touched, partition.sizes):
+        shares = [count / size for count in counts if count]
+        total += sum(shares) / len(shares) if shares else 1.0
+    return total / len(partition.sizes)
+
+
+def _coupling(model: AccessModel, partition: _Partition) -> float:
+    incidence = model.incidence
+    sizes = partition.sizes
+    n = len(sizes)
+    if n == 1:
+        return 0.0
+    # reached = (H' Adj) > 0, scattered from the adjacency's nonzero steps
+    reached = np.zeros((n, len(partition.labels)), dtype=np.int64)
+    reached[partition.labels[incidence.step_from], incidence.step_to] = 1
+    # exposed[i][j]: entities of cluster j some trace reaches straight from cluster i
+    exposed = (reached @ partition.membership).tolist()
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += exposed[i][j] / sizes[j]
+    return total / (n * (n - 1))
 
 
 def complexity(decomposition: Decomposition, model: AccessModel) -> float:
@@ -42,30 +95,10 @@ def complexity(decomposition: Decomposition, model: AccessModel) -> float:
     Each of its distinct (entity, mode) accesses costs one per other distributed
     functionality touching that entity in the opposite mode.
     """
-    assignment = _covered_assignment(decomposition, model)
-    functionalities = model.functionalities
-    if not functionalities:
+    partition = _partition(decomposition, model)
+    if not model.functionalities:
         return 0.0
-    distributed = {
-        f.name
-        for f in functionalities
-        if len({_cluster_of(assignment, e) for e in f.entities()}) >= 2
-    }
-    readers: dict[str, set[str]] = defaultdict(set)
-    writers: dict[str, set[str]] = defaultdict(set)
-    for funct in functionalities:
-        if funct.name not in distributed:
-            continue
-        for entity, mode in funct.access_pairs():
-            (readers if mode == READ else writers)[entity].add(funct.name)
-    total = 0
-    for funct in functionalities:
-        if funct.name not in distributed:
-            continue
-        for entity, mode in funct.access_pairs():
-            opposite = writers[entity] if mode == READ else readers[entity]
-            total += len(opposite - {funct.name})
-    return total / len(functionalities)
+    return _splitting_cost(model, partition) / len(model.functionalities)
 
 
 def max_complexity(model: AccessModel) -> float:
@@ -75,46 +108,19 @@ def max_complexity(model: AccessModel) -> float:
     every distinct (entity, mode) access costs one per other distributed
     functionality touching that entity in any mode.
     """
-    functionalities = model.functionalities
-    if not functionalities:
+    if not model.functionalities:
         return 0.0
-    distributed = {f.name for f in functionalities if len(f.entities()) >= 2}
-    touchers: dict[str, set[str]] = defaultdict(set)
-    for funct in functionalities:
-        if funct.name in distributed:
-            for entity in funct.entities():
-                touchers[entity].add(funct.name)
-    total = 0
-    for funct in functionalities:
-        if funct.name not in distributed:
-            continue
-        for entity, _mode in funct.access_pairs():
-            total += len(touchers[entity] - {funct.name})
-    return total / len(functionalities)
+    return model.incidence.max_splitting_cost / len(model.functionalities)
 
 
 def uniform_complexity(decomposition: Decomposition, model: AccessModel) -> float:
     """Splitting cost normalized by the all-singletons worst case (0 when both are 0)."""
-    _covered_assignment(decomposition, model)
-    ceiling = max_complexity(model)
-    if ceiling == 0:
-        return 0.0
-    return complexity(decomposition, model) / ceiling
+    return _uniform_complexity(model, _partition(decomposition, model))
 
 
 def cohesion(decomposition: Decomposition, model: AccessModel) -> float:
     """Mean share of a cluster its visiting functionalities actually touch."""
-    _covered_assignment(decomposition, model)
-    total = 0.0
-    for cluster in decomposition.clusters:
-        members = frozenset(cluster)
-        shares = [
-            len(funct.entities() & members) / len(cluster)
-            for funct in model.functionalities
-            if funct.entities() & members
-        ]
-        total += sum(shares) / len(shares) if shares else 1.0
-    return total / decomposition.n_clusters
+    return _cohesion(model, _partition(decomposition, model))
 
 
 def coupling(decomposition: Decomposition, model: AccessModel) -> float:
@@ -123,24 +129,7 @@ def coupling(decomposition: Decomposition, model: AccessModel) -> float:
     An entity is exposed to a cluster when some trace accesses it directly after
     an entity of that cluster.
     """
-    assignment = _covered_assignment(decomposition, model)
-    n = decomposition.n_clusters
-    if n == 1:
-        return 0.0
-    exposed: dict[tuple[int, int], set[str]] = defaultdict(set)
-    for funct in model.functionalities:
-        trace = funct.trace
-        for first, second in zip(trace, trace[1:]):
-            cluster_a = _cluster_of(assignment, first.entity)
-            cluster_b = _cluster_of(assignment, second.entity)
-            if cluster_a != cluster_b:
-                exposed[(cluster_a, cluster_b)].add(second.entity)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += len(exposed.get((i, j), ())) / len(decomposition.clusters[j])
-    return total / (n * (n - 1))
+    return _coupling(model, _partition(decomposition, model))
 
 
 def tsr(
@@ -198,10 +187,11 @@ def evaluate(
     history: DevelopmentHistory,
     entity_files: dict[str, str | None],
 ) -> MetricsRecord:
-    """All five quality numbers of one decomposition."""
-    uniform = uniform_complexity(decomposition, model)
-    cohesion_value = cohesion(decomposition, model)
-    coupling_value = coupling(decomposition, model)
+    """All five quality numbers of one decomposition, from one cluster matrix."""
+    partition = _partition(decomposition, model)
+    uniform = _uniform_complexity(model, partition)
+    cohesion_value = _cohesion(model, partition)
+    coupling_value = _coupling(model, partition)
     tsr_value = tsr(decomposition, history, entity_files)
     return MetricsRecord(
         uniform,

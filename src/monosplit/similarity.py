@@ -139,14 +139,8 @@ def map_entities_to_files(
 
 
 def _mode_matrix(model: AccessModel, mode: str) -> np.ndarray:
-    functs = model.functionalities
-    entities = model.entities
-    touches = np.zeros((len(functs), len(entities)), dtype=float)
-    index = {e: i for i, e in enumerate(entities)}
-    for row, funct in enumerate(functs):
-        for access in funct.trace:
-            if mode == ANY or access.mode == mode:
-                touches[row, index[access.entity]] = 1.0
+    incidence = model.incidence
+    touches = {ANY: incidence.touch, READ: incidence.read, WRITE: incidence.write}[mode].astype(float)
     shared = touches.T @ touches
     sizes = np.diag(shared).copy()
     out = np.zeros_like(shared)
