@@ -37,23 +37,32 @@ def to_dissimilarity(matrix: SimilarityMatrix) -> np.ndarray:
     return dissimilarity
 
 
+def check_dissimilarity(dissimilarity) -> np.ndarray:
+    """The matrix as floats, once it is square, non-empty, symmetric and zero on the diagonal."""
+    matrix = np.asarray(dissimilarity, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ClusteringError("dissimilarity matrix must be square")
+    if matrix.shape[0] == 0:
+        raise ClusteringError("empty dissimilarity matrix")
+    if not np.array_equal(matrix, matrix.T):
+        raise ClusteringError("dissimilarity matrix must be symmetric")
+    if np.any(np.diag(matrix) != 0):
+        raise ClusteringError("dissimilarity matrix must have a zero diagonal")
+    return matrix
+
+
 def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
     """UPGMA merge sequence over a symmetric dissimilarity matrix.
 
     Ties on the merge distance pick the pair with the smallest cluster ids,
     comparing (min id, max id) lexicographically, so results are reproducible.
     """
-    matrix = np.asarray(dissimilarity, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ClusteringError("dissimilarity matrix must be square")
-    n = matrix.shape[0]
-    if n == 0:
-        raise ClusteringError("empty dissimilarity matrix")
-    if not np.array_equal(matrix, matrix.T):
-        raise ClusteringError("dissimilarity matrix must be symmetric")
-    if np.any(np.diag(matrix) != 0):
-        raise ClusteringError("dissimilarity matrix must have a zero diagonal")
+    return _scan_upgma(check_dissimilarity(dissimilarity))
 
+
+def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
+    """UPGMA that scans the whole distance matrix for the closest pair at every merge."""
+    n = matrix.shape[0]
     total = 2 * n - 1
     work = np.full((total, total), np.inf)
     work[:n, :n] = matrix
@@ -87,28 +96,106 @@ def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
     return Dendrogram(n, tuple(merges))
 
 
+def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
+    """`agglomerate` of each matrix of a (count, n, n) float stack, merges and heights bit for bit.
+
+    Each matrix must already pass `check_dissimilarity`.  The stack is used as
+    working memory and overwritten.  Each merge step runs once for all the
+    matrices, so a stack of several beats `agglomerate` on each in turn; on a
+    single matrix `agglomerate` is faster.
+
+    Each of a matrix's n slots holds one live cluster.  Row r caches the slot of
+    its nearest live cluster, ties going to the smallest cluster id, and the
+    distance to it.  The row with the smallest id among those at the smallest
+    cached distance, and its cached neighbour, are the pair the full scan
+    picks.  The merged cluster takes the lower of the two slots.  Only rows
+    whose neighbour was merged are scanned again; another row moves to the
+    merged cluster only when it is strictly closer, because the merged cluster
+    has the largest id.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise ClusteringError("expected a stack of non-empty square matrices")
+    count, n, _ = stack.shape
+    batch = np.arange(count)
+    stack[:, np.arange(n), np.arange(n)] = np.inf
+    ids = np.tile(np.arange(n), (count, 1))
+    sizes = np.ones((count, n), dtype=int)
+    live = np.ones((count, n), dtype=bool)
+    nearest = stack.argmin(axis=2)  # slots still equal ids: the first minimum has the smallest id
+    distance = stack.min(axis=2)
+    no_id = 2 * n
+    lefts = np.empty((n - 1, count), dtype=int)
+    rights = np.empty((n - 1, count), dtype=int)
+    heights = np.empty((n - 1, count))
+    for step in range(n - 1):
+        lowest = distance.min(axis=1)
+        row = np.where(distance == lowest[:, None], ids, no_id).argmin(axis=1)
+        partner = nearest[batch, row]
+        row_id, partner_id = ids[batch, row], ids[batch, partner]
+        lefts[step] = np.minimum(row_id, partner_id)
+        rights[step] = np.maximum(row_id, partner_id)
+        heights[step] = lowest
+        row_size, partner_size = sizes[batch, row], sizes[batch, partner]
+        merged = (
+            row_size[:, None] * stack[batch, row] + partner_size[:, None] * stack[batch, partner]
+        ) / (row_size + partner_size)[:, None]
+        keep, gone = np.minimum(row, partner), np.maximum(row, partner)
+        merged[batch, keep] = merged[batch, gone] = np.inf
+        stack[batch, keep, :] = merged
+        stack[batch, :, keep] = merged
+        stack[batch, gone, :] = np.inf
+        stack[batch, :, gone] = np.inf
+        ids[batch, keep] = n + step
+        sizes[batch, keep] = row_size + partner_size
+        live[batch, gone] = False
+        distance[batch, gone] = np.inf
+        # the pair were each other's nearest neighbours, so this includes the merged row
+        stale = live & ((nearest == row[:, None]) | (nearest == partner[:, None]))
+        closer = merged < distance
+        nearest[closer] = np.broadcast_to(keep[:, None], nearest.shape)[closer]
+        distance[closer] = merged[closer]
+        which, slot = np.nonzero(stale)
+        lines = stack[which, slot]
+        low = lines.min(axis=1)
+        nearest[which, slot] = np.where(lines == low[:, None], ids[which], no_id).argmin(axis=1)
+        distance[which, slot] = low
+    return [
+        Dendrogram(n, tuple(map(Merge, left, right, height)))
+        for left, right, height in zip(lefts.T.tolist(), rights.T.tolist(), heights.T.tolist())
+    ]
+
+
+def cuts(dendrogram: Dendrogram, counts, entities) -> dict[int, tuple[tuple[str, ...], ...]]:
+    """`cut` at each of the cluster counts, from one replay of the merges."""
+    entities = tuple(entities)
+    n = dendrogram.n_leaves
+    if len(entities) != n:
+        raise ClusteringError(f"expected {n} entities, got {len(entities)}")
+    wanted = set(counts)
+    for n_clusters in wanted:
+        if not 1 <= n_clusters <= n:
+            raise ClusteringError(f"cannot cut {n} leaves into {n_clusters} clusters")
+    lowest = min(wanted, default=n)
+    components = {i: (entities[i],) for i in range(n)}
+    out = {}
+    for step in range(n - lowest + 1):
+        if n - step in wanted:
+            out[n - step] = tuple(sorted(components.values()))
+        if n - step > lowest:
+            merge = dendrogram.merges[step]
+            components[n + step] = tuple(
+                sorted(components.pop(merge.left) + components.pop(merge.right))
+            )
+    return out
+
+
 def cut(dendrogram: Dendrogram, n_clusters: int, entities) -> tuple[tuple[str, ...], ...]:
     """Undo the last n_clusters-1 merges and report clusters of entity names.
 
     Entities are given in leaf order (the matrix order).  Clusters come back
     with sorted members and sorted among themselves.
     """
-    entities = tuple(entities)
-    if len(entities) != dendrogram.n_leaves:
-        raise ClusteringError(
-            f"expected {dendrogram.n_leaves} entities, got {len(entities)}"
-        )
-    if not 1 <= n_clusters <= dendrogram.n_leaves:
-        raise ClusteringError(f"cannot cut {dendrogram.n_leaves} leaves into {n_clusters} clusters")
-    components: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
-    for step in range(dendrogram.n_leaves - n_clusters):
-        merge = dendrogram.merges[step]
-        new_id = dendrogram.n_leaves + step
-        components[new_id] = components.pop(merge.left) + components.pop(merge.right)
-    clusters = sorted(
-        tuple(sorted(entities[i] for i in members)) for members in components.values()
-    )
-    return tuple(clusters)
+    return cuts(dendrogram, [n_clusters], entities)[n_clusters]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
 
+import numpy as np
+
 ADD = "A"
 DELETE = "D"
 MODIFY = "M"
@@ -241,6 +243,15 @@ def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> lis
     return bundles
 
 
+@dataclass(frozen=True)
+class EntityAuthors:
+    """Entity x author incidence EA of one entity-to-file mapping; columns: sorted authors."""
+
+    rows: dict[str, int]  # every entity of the mapping -> its row of EA
+    incidence: np.ndarray  # EA, int64: 1 where the entity's file has the author
+    masks: dict[str, int]  # every entity of the mapping -> its row of EA as bits, column j at bit j
+
+
 class DevelopmentHistory:
     """Per-file commit counts, pairwise co-change counts and author sets."""
 
@@ -253,6 +264,7 @@ class DevelopmentHistory:
         self.file_commit_count = dict(file_commit_count)
         self.co_changes = {f: dict(partners) for f, partners in co_changes.items()}
         self.file_authors = {f: frozenset(a) for f, a in file_authors.items()}
+        self._entity_authors: tuple[dict, EntityAuthors] | None = None
 
     def files(self) -> list[str]:
         return sorted(self.file_commit_count)
@@ -286,6 +298,28 @@ class DevelopmentHistory:
         for authors in self.file_authors.values():
             out |= authors
         return frozenset(out)
+
+    def entity_authors(self, entity_files: dict[str, str | None]) -> EntityAuthors:
+        """Authors of each entity's file, as incidence; cached for the last mapping asked.
+
+        Entities mapped to None or to a file absent from the history get an
+        empty row.  There is one column per author of the whole history.
+        """
+        if self._entity_authors is None or self._entity_authors[0] != entity_files:
+            columns = {a: i for i, a in enumerate(sorted(self.all_authors()))}
+            rows: dict[str, int] = {}
+            masks: dict[str, int] = {}
+            cells: list[int] = []
+            for row, (entity, filename) in enumerate(entity_files.items()):
+                rows[entity] = row
+                masks[entity] = 0
+                for author in self.file_authors.get(filename, ()):
+                    masks[entity] |= 1 << columns[author]
+                    cells.append(row * len(columns) + columns[author])
+            incidence = np.zeros((len(rows), len(columns)), dtype=np.int64)
+            incidence.flat[cells] = 1
+            self._entity_authors = (dict(entity_files), EntityAuthors(rows, incidence, masks))
+        return self._entity_authors[1]
 
     def to_json_dict(self) -> dict:
         return {

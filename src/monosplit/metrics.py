@@ -138,20 +138,22 @@ def tsr(
     entity_files: dict[str, str | None],
 ) -> float:
     """Team size ratio: mean cluster author count over the total author count."""
-    total_authors = history.all_authors()
-    if not total_authors:
+    authorship = history.entity_authors(entity_files)
+    n_authors = authorship.incidence.shape[1]
+    if not n_authors:
         raise MetricsError("history has no authors")
-    if decomposition.n_clusters == 0:
+    n_clusters = decomposition.n_clusters
+    if n_clusters == 0:
         raise MetricsError("decomposition has no clusters")
+    # a cluster's author count is its row sum of (H' EA) > 0: the bits set in
+    # the union of its members' rows of EA
     author_count_sum = 0
     for cluster in decomposition.clusters:
-        authors: set[str] = set()
+        authors = 0
         for entity in cluster:
-            filename = entity_files.get(entity)
-            if filename is not None and history.has_file(filename):
-                authors |= history.authors(filename)
-        author_count_sum += len(authors)
-    return (author_count_sum / decomposition.n_clusters) / len(total_authors)
+            authors |= authorship.masks.get(entity, 0)
+        author_count_sum += authors.bit_count()
+    return (author_count_sum / n_clusters) / n_authors
 
 
 def combined_score(

@@ -138,15 +138,19 @@ def map_entities_to_files(
     return mapping
 
 
+def _row_shares(shared: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Each row of shared counts over that row's total; rows with a zero total stay zero."""
+    out = np.zeros(shared.shape)
+    nonzero = totals > 0
+    out[nonzero] = shared[nonzero] / totals[nonzero, None]
+    return out
+
+
 def _mode_matrix(model: AccessModel, mode: str) -> np.ndarray:
     incidence = model.incidence
     touches = {ANY: incidence.touch, READ: incidence.read, WRITE: incidence.write}[mode].astype(float)
     shared = touches.T @ touches
-    sizes = np.diag(shared).copy()
-    out = np.zeros_like(shared)
-    nonzero = sizes > 0
-    out[nonzero, :] = shared[nonzero, :] / sizes[nonzero, None]
-    return out
+    return _row_shares(shared, np.diag(shared))
 
 
 def _sequence_matrix(model: AccessModel) -> np.ndarray:
@@ -160,6 +164,42 @@ def _sequence_matrix(model: AccessModel) -> np.ndarray:
         i, j = index[entity_a], index[entity_b]
         out[i, j] = out[j, i] = count / max_count
     return out
+
+
+def _commit_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
+    """Share of entity i's logical commits that also touched entity j's file."""
+    n = len(entities)
+    files = [entity_files[e] for e in entities]
+    slots: dict[str, list[int]] = {}
+    for j, filename in enumerate(files):
+        if filename is not None:
+            slots.setdefault(filename, []).append(j)
+    cells: list[int] = []
+    counts: list[int] = []
+    totals = [0] * n
+    for i, filename in enumerate(files):
+        if filename is None:
+            continue
+        totals[i] = history.commit_count(filename)
+        for j in slots[filename]:
+            cells.append(i * n + j)
+            counts.append(totals[i])
+        for other, together in history.co_changes.get(filename, {}).items():
+            if other != filename:
+                for j in slots.get(other, ()):
+                    cells.append(i * n + j)
+                    counts.append(together)
+    shared = np.zeros((n, n), dtype=np.int64)
+    shared.flat[cells] = counts
+    return _row_shares(shared, np.array(totals, dtype=np.int64))
+
+
+def _author_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
+    """Share of entity i's authors that also authored entity j's file: EA EA' over row sizes."""
+    authorship = history.entity_authors(entity_files)
+    incidence = authorship.incidence[[authorship.rows[e] for e in entities]]
+    shared = incidence @ incidence.T
+    return _row_shares(shared, np.diag(shared))
 
 
 def _validate_entity_files(model: AccessModel, history: DevelopmentHistory, entity_files) -> None:
@@ -204,21 +244,8 @@ def measure_matrices(
     if history is None or entity_files is None:
         raise SimilarityError("history measures requested without history data")
     _validate_entity_files(model, history, entity_files)
-    commit = matrices["commit"]
-    author = matrices["author"]
-    files = [entity_files[e] for e in entities]
-    author_sets = [history.authors(f) if f is not None else frozenset() for f in files]
-    for i in range(n):
-        if files[i] is None:
-            continue
-        count_i = history.commit_count(files[i])
-        authors_i = author_sets[i]
-        for j in range(n):
-            if files[j] is None:
-                continue
-            commit[i, j] = history.co_change_count(files[i], files[j]) / count_i
-            if authors_i:
-                author[i, j] = len(authors_i & author_sets[j]) / len(authors_i)
+    matrices["commit"] = _commit_matrix(entities, history, entity_files)
+    matrices["author"] = _author_matrix(entities, history, entity_files)
     return matrices
 
 
@@ -237,11 +264,6 @@ def blend(matrices: dict[str, np.ndarray], weights: Weights) -> np.ndarray:
 class SimilarityMatrix:
     entities: tuple[str, ...]  # sorted
     values: np.ndarray  # square, [0, 1], unit diagonal
-
-    def value(self, entity_a: str, entity_b: str) -> float:
-        i = self.entities.index(entity_a)
-        j = self.entities.index(entity_b)
-        return float(self.values[i, j])
 
     def to_csv(self) -> str:
         lines = ["entity," + ",".join(self.entities)]

@@ -11,10 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accesses import AccessModel
-from .clustering import Decomposition, agglomerate, cut
+from .clustering import (  # `cut` stays importable here: benchmark/tracing.py wraps it by this name
+    ClusteringError,
+    Decomposition,
+    agglomerate,
+    agglomerate_stack,
+    check_dissimilarity,
+    cut,
+    cuts,
+)
 from .history import DevelopmentHistory
-from .metrics import MetricsRecord, evaluate
-from .similarity import MEASURE_NAMES, Weights, measure_matrices
+from .metrics import MetricsError, MetricsRecord, evaluate
+from .similarity import MEASURE_NAMES, SimilarityError, Weights, measure_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +121,20 @@ class SweepFailure:
     error: str
 
 
+# Bytes of dissimilarity matrices clustered as one stack, which bounds the memory
+# a stack adds: 10 weight vectors at 160 entities, 455 at 24.
+_STACK_BYTES = 2 * 1024 * 1024
+
+
+def _dissimilarity(stack: np.ndarray, weights: Weights) -> np.ndarray:
+    values = np.tensordot(np.array(weights.as_tuple(), dtype=float), stack, axes=1)
+    values /= 100.0
+    np.fill_diagonal(values, 1.0)
+    dissimilarity = 1.0 - (values + values.T) / 2.0
+    np.fill_diagonal(dissimilarity, 0.0)
+    return check_dissimilarity(dissimilarity)
+
+
 def _score_grid(
     stack: np.ndarray,
     model: AccessModel,
@@ -126,31 +148,37 @@ def _score_grid(
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
     cache: dict[tuple, MetricsRecord] = {}
-    for weights in weight_vectors:
-        group = classify_group(weights)
-        try:
-            values = np.tensordot(np.array(weights.as_tuple(), dtype=float), stack, axes=1)
-            values /= 100.0
-            np.fill_diagonal(values, 1.0)
-            dissimilarity = 1.0 - (values + values.T) / 2.0
-            np.fill_diagonal(dissimilarity, 0.0)
-            dendrogram = agglomerate(dissimilarity)
-        except Exception as exc:
-            failures.extend(
-                SweepFailure(codebase, n, weights, str(exc)) for n in counts
-            )
-            continue
-        for n in counts:
+    capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))
+    batch = np.empty((capacity, *stack[0].shape))
+    for start in range(0, len(weight_vectors), capacity):
+        clustered: list[Weights] = []
+        for weights in weight_vectors[start : start + capacity]:
             try:
-                clusters = cut(dendrogram, n, entities)
-                record = cache.get(clusters)
-                if record is None:
-                    decomposition = Decomposition(codebase, clusters, weights)
-                    record = evaluate(decomposition, model, history, entity_files)
-                    cache[clusters] = record
-                rows.append(ResultRow(codebase, n, weights, group, record))
-            except Exception as exc:
-                failures.append(SweepFailure(codebase, n, weights, str(exc)))
+                batch[len(clustered)] = _dissimilarity(stack, weights)
+            except ClusteringError as exc:
+                failures.extend(SweepFailure(codebase, n, weights, str(exc)) for n in counts)
+                continue
+            clustered.append(weights)
+        if not clustered:
+            continue
+        if len(clustered) == 1:  # the full scan beats the stacked kernel on one matrix
+            dendrograms = [agglomerate(batch[0])]
+        else:
+            dendrograms = agglomerate_stack(batch[: len(clustered)])
+        for weights, dendrogram in zip(clustered, dendrograms):
+            group = classify_group(weights)
+            partitions = cuts(dendrogram, counts, entities)
+            for n in counts:
+                clusters = partitions[n]
+                try:
+                    record = cache.get(clusters)
+                    if record is None:
+                        decomposition = Decomposition(codebase, clusters, weights)
+                        record = evaluate(decomposition, model, history, entity_files)
+                        cache[clusters] = record
+                    rows.append(ResultRow(codebase, n, weights, group, record))
+                except (ClusteringError, MetricsError, SimilarityError) as exc:
+                    failures.append(SweepFailure(codebase, n, weights, str(exc)))
     return rows, failures
 
 

@@ -19,7 +19,7 @@ from monosplit import (
     cut,
     to_dissimilarity,
 )
-from monosplit.clustering import Merge
+from monosplit.clustering import Merge, agglomerate_stack, cuts
 
 from oracles import upgma_merges
 
@@ -265,9 +265,11 @@ def test_every_cut_is_a_partition_and_cuts_nest(matrix):
     n = matrix.shape[0]
     entities = [f"E{i}" for i in range(n)]
     dendrogram = agglomerate(matrix)
+    every = cuts(dendrogram, range(1, n + 1), entities)
     previous = None
     for k in range(n, 0, -1):
         clusters = cut(dendrogram, k, entities)
+        assert every[k] == clusters
         assert len(clusters) == k
         flattened = sorted(itertools.chain.from_iterable(clusters))
         assert flattened == sorted(entities)
@@ -279,6 +281,76 @@ def test_every_cut_is_a_partition_and_cuts_nest(matrix):
                 parts = [c for c in fine if c <= members]
                 assert set().union(*parts) == members
         previous = clusters
+
+
+# ------------------------------------------------------------ stacked UPGMA
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """1 to 6 symmetric n x n matrices, n in 1..30, entries on a grid of 2, 4 or 8 steps.
+
+    On these the update rule and the oracle's plain mean of the original
+    entries can round apart and so break ties differently; the oracle is
+    compared on ultrametrics below, where both are exact.
+    """
+    n = draw(st.integers(1, 30))
+    count = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([2, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, levels + 1, size=(count, n, n)) / levels, 1)
+    return upper + upper.transpose(0, 2, 1)
+
+
+@st.composite
+def quantised_ultrametric_stacks(draw):
+    """1 to 6 ultrametrics over n in 1..30 leaves, with heights on a quarter grid.
+
+    Every cluster pair UPGMA compares then averages equal entries, so the
+    update rule and the oracle's plain mean are both exact and must agree
+    bit for bit, ties included.
+    """
+    n = draw(st.integers(1, 30))
+    count = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, n, n))
+    for matrix in stack:
+        groups = [([i], 0.0) for i in range(n)]
+        while len(groups) > 1:
+            a, b = sorted(rng.sample(range(len(groups)), 2))
+            (members_b, height_b), (members_a, height_a) = groups.pop(b), groups.pop(a)
+            height = max(height_a, height_b) + rng.choice([0.0, 0.0, 0.25, 0.5])
+            matrix[np.ix_(members_a, members_b)] = height
+            matrix[np.ix_(members_b, members_a)] = height
+            groups.append((members_a + members_b, height))
+    return stack
+
+
+def _merge_triples(dendrogram):
+    return [(m.left, m.right, m.height) for m in dendrogram.merges]
+
+
+@settings(deadline=None, max_examples=150)
+@given(tie_heavy_stacks())
+def test_stacked_upgma_matches_agglomerate_bit_for_bit(stack):
+    dendrograms = agglomerate_stack(stack.copy())
+    assert len(dendrograms) == len(stack)
+    for matrix, dendrogram in zip(stack, dendrograms):
+        assert dendrogram == agglomerate(matrix)
+
+
+@settings(deadline=None, max_examples=150)
+@given(quantised_ultrametric_stacks())
+def test_stacked_upgma_matches_agglomerate_and_oracle_on_ultrametrics(stack):
+    for matrix, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
+        assert dendrogram == agglomerate(matrix)
+        assert _merge_triples(dendrogram) == [tuple(m) for m in upgma_merges(matrix.tolist())]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (2, 0, 0)])
+def test_agglomerate_stack_rejects_bad_shape(shape):
+    with pytest.raises(ClusteringError, match="stack"):
+        agglomerate_stack(np.zeros(shape))
 
 
 # -------------------------------------------------------------- decomposition

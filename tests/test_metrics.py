@@ -208,6 +208,17 @@ def test_tsr_skips_unmapped_entities():
     assert tsr(decomposition, history, entity_files) == pytest.approx(0.5)
 
 
+def test_tsr_follows_each_mapping_asked_of_one_history():
+    history = _history({"a/A.java": {"x"}, "b/B.java": {"y"}})
+    together = _split([["A", "B"]])
+    entity_files = {"A": "a/A.java", "B": "b/B.java"}
+    assert tsr(together, history, entity_files) == 1.0
+    assert tsr(together, history, {"A": "a/A.java", "B": "a/A.java"}) == 0.5
+    assert tsr(together, history, entity_files) == 1.0
+    entity_files["B"] = None  # changed in place, not replaced
+    assert tsr(together, history, entity_files) == 0.5
+
+
 def test_tsr_rejects_history_without_authors():
     with pytest.raises(MetricsError, match="no authors"):
         tsr(_split([["A"]]), DevelopmentHistory({}, {}, {}), {"A": None})

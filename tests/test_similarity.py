@@ -96,6 +96,18 @@ def test_author_measure(small_history):
     assert author_similarity(small_history, "src/C.java", "src/A.java") == 1.0
 
 
+def test_history_matrices_of_entities_sharing_a_file(small_history):
+    model = _model({"f1": [["A", "R"], ["A2", "W"], ["C", "R"]]})
+    entity_files = {"A": "src/A.java", "A2": "src/A.java", "C": "src/C.java"}
+    matrices = measure_matrices(model, small_history, entity_files)
+    a, a2, c = (model.entities.index(e) for e in ("A", "A2", "C"))
+    for name, other in (("commit", commit_similarity), ("author", author_similarity)):
+        matrix = matrices[name]
+        assert matrix[a, a2] == matrix[a2, a] == 1.0
+        assert matrix[a2, c] == matrix[a, c] == other(small_history, "src/A.java", "src/C.java")
+        assert matrix[c, a2] == matrix[c, a] == other(small_history, "src/C.java", "src/A.java")
+
+
 def test_weights_validation():
     Weights(10, 0, 0, 40, 30, 20)
     Weights(25, 25, 25, 25, 0, 0)  # any integers summing to 100 are usable
@@ -123,23 +135,27 @@ HAND_COMMITS = [
 ]
 
 
+def _at(matrix, entity_a, entity_b):
+    return float(matrix.values[matrix.entities.index(entity_a), matrix.entities.index(entity_b)])
+
+
 def test_blend_matches_hand_value():
     history = commits_to_history(HAND_COMMITS)
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"]]})
     entity_files = {"A": "src/A.java", "B": "src/B.java"}
     matrix = build_similarity_matrix(model, history, entity_files, Weights(0, 0, 0, 0, 50, 50))
-    assert matrix.value("A", "B") == pytest.approx(7 / 12)  # (50*(2/3) + 50*(1/2)) / 100
-    assert matrix.value("B", "A") == 1.0
-    assert matrix.value("A", "A") == 1.0
-    assert matrix.value("B", "B") == 1.0
+    assert _at(matrix, "A", "B") == pytest.approx(7 / 12)  # (50*(2/3) + 50*(1/2)) / 100
+    assert _at(matrix, "B", "A") == 1.0
+    assert _at(matrix, "A", "A") == 1.0
+    assert _at(matrix, "B", "B") == 1.0
 
 
 def test_unmapped_entity_contributes_zero_history(small_history):
     model = _model({"f1": [["A", "R"], ["Ghost", "W"]]})
     entity_files = {"A": "src/A.java", "Ghost": None}
     matrix = build_similarity_matrix(model, small_history, entity_files, Weights(0, 0, 0, 0, 50, 50))
-    assert matrix.value("A", "Ghost") == 0.0
-    assert matrix.value("Ghost", "A") == 0.0
+    assert _at(matrix, "A", "Ghost") == 0.0
+    assert _at(matrix, "Ghost", "A") == 0.0
 
 
 def test_missing_map_entry_with_history_weights_raises(small_history):
@@ -151,7 +167,7 @@ def test_missing_map_entry_with_history_weights_raises(small_history):
 def test_map_not_needed_without_history_weights():
     model = _model({"f1": [["A", "R"], ["B", "W"]]})
     matrix = build_similarity_matrix(model, None, None, Weights(100, 0, 0, 0, 0, 0))
-    assert matrix.value("A", "B") == 1.0
+    assert _at(matrix, "A", "B") == 1.0
 
 
 def test_map_to_file_absent_from_history_raises(small_history):

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from monosplit import (
+    ClusteringError,
+    MetricsError,
     MetricsRecord,
     ResultRow,
     SweepError,
@@ -226,19 +228,23 @@ def test_sweep_rejects_bad_parallelism(small_sweep):
         run_sweep(model, history, files, "demo", parallelism=0)
 
 
-def test_row_failures_are_collected_not_raised(monkeypatch, caplog):
-    model, history, files = _setup(42)
+def _poison_evaluate(monkeypatch, poisoned, error):
     import monosplit.sweep as sweep_module
 
     real_evaluate = sweep_module.evaluate
-    poisoned = Weights(0, 0, 0, 0, 0, 100)
 
     def flaky_evaluate(decomposition, *args, **kwargs):
         if decomposition.weights == poisoned:
-            raise RuntimeError("injected scoring fault")
+            raise error
         return real_evaluate(decomposition, *args, **kwargs)
 
     monkeypatch.setattr(sweep_module, "evaluate", flaky_evaluate)
+
+
+def test_row_failures_are_collected_not_raised(monkeypatch, caplog):
+    model, history, files = _setup(42)
+    poisoned = Weights(0, 0, 0, 0, 0, 100)
+    _poison_evaluate(monkeypatch, poisoned, MetricsError("injected scoring fault"))
     with caplog.at_level(logging.WARNING, logger="monosplit.sweep"):
         rows, failures = run_sweep(model, history, files, "demo")
     assert len(rows) == 3002
@@ -247,6 +253,33 @@ def test_row_failures_are_collected_not_raised(monkeypatch, caplog):
     assert "injected scoring fault" in failures[0].error
     assert any("dropped" in record.message for record in caplog.records)
     assert all(row.weights != poisoned for row in rows)
+
+
+def test_bad_matrix_drops_only_its_own_rows(monkeypatch, small_sweep):
+    model, history, files, clean_rows, _ = small_sweep
+    import monosplit.sweep as sweep_module
+
+    real_check = sweep_module.check_dissimilarity
+    calls = []
+
+    def check_all_but_second(matrix):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ClusteringError("injected bad matrix")
+        return real_check(matrix)
+
+    monkeypatch.setattr(sweep_module, "check_dissimilarity", check_all_but_second)
+    rows, failures = run_sweep(model, history, files, "demo")
+    bad = enumerate_weights(10)[1]
+    assert [(f.weights, f.n_clusters) for f in failures] == [(bad, 3)]
+    assert rows == [row for row in clean_rows if row.weights != bad]
+
+
+def test_programming_errors_are_raised_not_collected(monkeypatch):
+    model, history, files = _setup(42)
+    _poison_evaluate(monkeypatch, Weights(0, 0, 0, 0, 0, 100), RuntimeError("injected bug"))
+    with pytest.raises(RuntimeError, match="injected bug"):
+        run_sweep(model, history, files, "demo")
 
 
 # ------------------------------------------------------------------------ CSV
