@@ -42,12 +42,8 @@ from .similarity import (
     SimilarityError,
     SimilarityMatrix,
     Weights,
-    access_similarity,
-    author_similarity,
     build_similarity_matrix,
-    commit_similarity,
     map_entities_to_files,
-    sequence_similarity,
 )
 from .sweep import (
     GROUPS,

@@ -46,7 +46,7 @@ class Incidence:
 
 
 class AccessModel:
-    """All functionalities of one monolith plus lookup indexes.
+    """All functionalities of one monolith plus their incidence arrays.
 
     The entity set is derived: exactly the names appearing in traces.
     """
@@ -59,15 +59,6 @@ class AccessModel:
         self.entities: tuple[str, ...] = tuple(
             sorted({a.entity for f in self.functionalities for a in f.trace})
         )
-        # entity -> mode -> set of functionality names
-        index: dict[str, dict[str, set[str]]] = {
-            e: {READ: set(), WRITE: set(), ANY: set()} for e in self.entities
-        }
-        for f in self.functionalities:
-            for a in f.trace:
-                index[a.entity][a.mode].add(f.name)
-                index[a.entity][ANY].add(f.name)
-        self._by_entity = index
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -96,15 +87,6 @@ class AccessModel:
         return Incidence(
             read, write, touch, step_from, step_to, int(accesses @ (touchers - 1))
         )
-
-    def functionalities_accessing(self, entity: str, mode: str = ANY) -> frozenset[str]:
-        """Names of functionalities that access `entity` in `mode` (ANY = read or write)."""
-        if mode not in (READ, WRITE, ANY):
-            raise AccessModelError(f"unknown access mode: {mode!r}")
-        try:
-            return frozenset(self._by_entity[entity][mode])
-        except KeyError:
-            raise AccessModelError(f"unknown entity: {entity!r}") from None
 
     def to_json_dict(self) -> dict:
         return {

@@ -22,7 +22,7 @@ from .analysis import (
 from .clustering import Decomposition, agglomerate, cut, to_dissimilarity
 from .history import DevelopmentHistory, mine_history, read_git_log
 from .similarity import SimilarityError, Weights, build_similarity_matrix, map_entities_to_files
-from .sweep import GROUPS, read_results_csv, run_sweep, write_results_csv
+from .sweep import CSV_COLUMNS, GROUPS, read_results_csv, row_values, run_sweep, write_results_csv
 
 
 class UsageError(Exception):
@@ -73,7 +73,7 @@ def _cmd_decompose(args) -> int:
     matrix = build_similarity_matrix(model, history, entity_files, weights)
     if args.matrix_out:
         _write_text(args.matrix_out, matrix.to_csv())
-    dendrogram = agglomerate(to_dissimilarity(matrix))
+    dendrogram = agglomerate(to_dissimilarity(matrix.values))
     clusters = cut(dendrogram, args.clusters, matrix.entities)
     decomposition = Decomposition(args.codebase, clusters, weights)
     _write_text(args.out, decomposition.serialize())
@@ -112,26 +112,6 @@ def _read_codebase_stats(path: str) -> list[CodebaseStats]:
     return stats
 
 
-def _row_dict(row) -> dict:
-    m = row.metrics
-    return {
-        "codebase": row.codebase,
-        "nClusters": row.n_clusters,
-        "wAccess": row.weights.access,
-        "wRead": row.weights.read,
-        "wWrite": row.weights.write,
-        "wSequence": row.weights.sequence,
-        "wCommit": row.weights.commit,
-        "wAuthor": row.weights.author,
-        "group": row.group,
-        "uniformComplexity": round(m.uniform_complexity, 6),
-        "cohesion": round(m.cohesion, 6),
-        "coupling": round(m.coupling, 6),
-        "tsr": round(m.tsr, 6),
-        "combined": round(m.combined, 6),
-    }
-
-
 def _summary_dict(entry: dict) -> dict:
     if entry["count"] == 0:
         return {"count": 0}
@@ -159,7 +139,9 @@ def _cmd_analyze(args) -> int:
         winners = best_decompositions(rows, args.best)
         report["best"] = {
             "metric": args.best,
-            "rows": [_row_dict(row) for row in winners],
+            "rows": [
+                dict(zip(CSV_COLUMNS, row_values(row, lambda v: round(v, 6)))) for row in winners
+            ],
             "shareByGroup": {
                 group: round(pct, 6)
                 for group, pct in best_share_by_group(winners).items()

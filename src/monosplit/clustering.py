@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import SimilarityMatrix, Weights
+from .similarity import Weights
 
 
 class ClusteringError(ValueError):
@@ -29,9 +29,8 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
-def to_dissimilarity(matrix: SimilarityMatrix) -> np.ndarray:
-    """Symmetrize the (possibly asymmetric) similarity matrix and flip it to a distance."""
-    values = matrix.values
+def to_dissimilarity(values: np.ndarray) -> np.ndarray:
+    """Symmetrize the (possibly asymmetric) similarity values and flip them to a distance."""
     dissimilarity = 1.0 - (values + values.T) / 2.0
     np.fill_diagonal(dissimilarity, 0.0)
     return dissimilarity

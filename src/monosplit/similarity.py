@@ -53,15 +53,6 @@ class Weights:
         return cls(*numbers)
 
 
-def access_similarity(model: AccessModel, entity_a: str, entity_b: str, mode: str = ANY) -> float:
-    """Share of the functionalities touching entity_a (in mode) that also touch entity_b."""
-    functs_a = model.functionalities_accessing(entity_a, mode)
-    functs_b = model.functionalities_accessing(entity_b, mode)
-    if not functs_a:
-        return 0.0
-    return len(functs_a & functs_b) / len(functs_a)
-
-
 def adjacency_pair_counts(model: AccessModel) -> tuple[dict[tuple[str, str], int], int]:
     """Count consecutive-position entity pairs over all traces.
 
@@ -81,33 +72,6 @@ def adjacency_pair_counts(model: AccessModel) -> tuple[dict[tuple[str, str], int
             )
             counts[key] = counts.get(key, 0) + 1
     return counts, max(counts.values(), default=0)
-
-
-def sequence_similarity(model: AccessModel, entity_a: str, entity_b: str) -> float:
-    """Adjacency count of the pair, normalized by the most-adjacent pair in the model."""
-    model.functionalities_accessing(entity_a)  # entity existence check
-    model.functionalities_accessing(entity_b)
-    if entity_a == entity_b:
-        return 0.0
-    counts, max_count = adjacency_pair_counts(model)
-    if max_count == 0:
-        return 0.0
-    key = (entity_a, entity_b) if entity_a < entity_b else (entity_b, entity_a)
-    return counts.get(key, 0) / max_count
-
-
-def commit_similarity(history: DevelopmentHistory, file_a: str, file_b: str) -> float:
-    """Share of file_a's logical commits that also touched file_b."""
-    return history.co_change_count(file_a, file_b) / history.commit_count(file_a)
-
-
-def author_similarity(history: DevelopmentHistory, file_a: str, file_b: str) -> float:
-    """Share of file_a's authors that also authored file_b."""
-    authors_a = history.authors(file_a)
-    authors_b = history.authors(file_b)
-    if not authors_a:
-        return 0.0
-    return len(authors_a & authors_b) / len(authors_a)
 
 
 def map_entities_to_files(
@@ -223,38 +187,32 @@ def measure_matrices(
     history: DevelopmentHistory | None,
     entity_files: dict[str, str | None] | None,
     include_history: bool = True,
-) -> dict[str, np.ndarray]:
-    """Compute the six per-measure matrices over the model's sorted entities.
+) -> np.ndarray:
+    """The six per-measure matrices over the model's sorted entities, stacked in MEASURE_NAMES order.
 
     With include_history=False the commit and author matrices are zero and the
     history inputs may be None.
     """
     entities = model.entities
     n = len(entities)
-    matrices = {
-        "access": _mode_matrix(model, ANY),
-        "read": _mode_matrix(model, READ),
-        "write": _mode_matrix(model, WRITE),
-        "sequence": _sequence_matrix(model),
-        "commit": np.zeros((n, n)),
-        "author": np.zeros((n, n)),
-    }
+    stack = np.zeros((len(MEASURE_NAMES), n, n))
+    stack[0] = _mode_matrix(model, ANY)
+    stack[1] = _mode_matrix(model, READ)
+    stack[2] = _mode_matrix(model, WRITE)
+    stack[3] = _sequence_matrix(model)
     if not include_history:
-        return matrices
+        return stack
     if history is None or entity_files is None:
         raise SimilarityError("history measures requested without history data")
     _validate_entity_files(model, history, entity_files)
-    matrices["commit"] = _commit_matrix(entities, history, entity_files)
-    matrices["author"] = _author_matrix(entities, history, entity_files)
-    return matrices
+    stack[4] = _commit_matrix(entities, history, entity_files)
+    stack[5] = _author_matrix(entities, history, entity_files)
+    return stack
 
 
-def blend(matrices: dict[str, np.ndarray], weights: Weights) -> np.ndarray:
-    """Weighted average of the six measure matrices, with unit diagonal."""
-    values = np.zeros_like(matrices["access"])
-    for name, weight in zip(MEASURE_NAMES, weights.as_tuple()):
-        if weight:
-            values += weight * matrices[name]
+def blend(stack: np.ndarray, weights: Weights) -> np.ndarray:
+    """Weighted average of the stacked measure matrices, with unit diagonal."""
+    values = np.tensordot(np.array(weights.as_tuple(), dtype=float), stack, axes=1)
     values /= 100.0
     np.fill_diagonal(values, 1.0)
     return values
@@ -282,5 +240,5 @@ def build_similarity_matrix(
     if not model.entities:
         raise SimilarityError("model has no entities")
     include_history = weights.commit + weights.author > 0
-    matrices = measure_matrices(model, history, entity_files, include_history=include_history)
-    return SimilarityMatrix(model.entities, blend(matrices, weights))
+    stack = measure_matrices(model, history, entity_files, include_history=include_history)
+    return SimilarityMatrix(model.entities, blend(stack, weights))

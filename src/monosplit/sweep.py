@@ -19,10 +19,11 @@ from .clustering import (  # `cut` stays importable here: benchmark/tracing.py w
     check_dissimilarity,
     cut,
     cuts,
+    to_dissimilarity,
 )
 from .history import DevelopmentHistory
 from .metrics import MetricsError, MetricsRecord, evaluate
-from .similarity import MEASURE_NAMES, SimilarityError, Weights, measure_matrices
+from .similarity import SimilarityError, Weights, blend, measure_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -126,15 +127,6 @@ class SweepFailure:
 _STACK_BYTES = 2 * 1024 * 1024
 
 
-def _dissimilarity(stack: np.ndarray, weights: Weights) -> np.ndarray:
-    values = np.tensordot(np.array(weights.as_tuple(), dtype=float), stack, axes=1)
-    values /= 100.0
-    np.fill_diagonal(values, 1.0)
-    dissimilarity = 1.0 - (values + values.T) / 2.0
-    np.fill_diagonal(dissimilarity, 0.0)
-    return check_dissimilarity(dissimilarity)
-
-
 def _score_grid(
     stack: np.ndarray,
     model: AccessModel,
@@ -154,7 +146,7 @@ def _score_grid(
         clustered: list[Weights] = []
         for weights in weight_vectors[start : start + capacity]:
             try:
-                batch[len(clustered)] = _dissimilarity(stack, weights)
+                batch[len(clustered)] = check_dissimilarity(to_dissimilarity(blend(stack, weights)))
             except ClusteringError as exc:
                 failures.extend(SweepFailure(codebase, n, weights, str(exc)) for n in counts)
                 continue
@@ -204,8 +196,7 @@ def run_sweep(
         raise SweepError(f"parallelism must be at least 1, got {parallelism}")
     counts = cluster_counts(len(model.entities))
     weight_vectors = enumerate_weights(step)
-    matrices = measure_matrices(model, history, entity_files, include_history=True)
-    stack = np.stack([matrices[name] for name in MEASURE_NAMES])
+    stack = measure_matrices(model, history, entity_files, include_history=True)
     if parallelism == 1:
         rows, failures = _score_grid(
             stack, model, history, entity_files, codebase, weight_vectors, counts
@@ -240,18 +231,15 @@ def run_sweep(
     return rows, failures
 
 
-def _row_to_record(row: ResultRow) -> list:
+def row_values(row: ResultRow, metric_format) -> list:
+    """The row's values in CSV_COLUMNS order, with `metric_format` applied to its five metrics."""
     m = row.metrics
     return [
         row.codebase,
         row.n_clusters,
         *row.weights.as_tuple(),
         row.group,
-        f"{m.uniform_complexity:.6f}",
-        f"{m.cohesion:.6f}",
-        f"{m.coupling:.6f}",
-        f"{m.tsr:.6f}",
-        f"{m.combined:.6f}",
+        *map(metric_format, (m.uniform_complexity, m.cohesion, m.coupling, m.tsr, m.combined)),
     ]
 
 
@@ -260,7 +248,7 @@ def write_results_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(_row_to_record(row))
+        writer.writerow(row_values(row, "{:.6f}".format))
     return buffer.getvalue()
 
 

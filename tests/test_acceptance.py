@@ -157,9 +157,9 @@ def test_acceptance_4_oracle_equivalence(capsys):
         model = to_model(traces)
         commits, files = random_commits(rng, model.entities)
         history = commits_to_history(commits)
-        matrices = measure_matrices(model, history, files, include_history=True)
+        stack = measure_matrices(model, history, files, include_history=True)
         entities = model.entities
-        for name in MEASURE_NAMES:
+        for name, matrix in zip(MEASURE_NAMES, stack):
             for i, a in enumerate(entities):
                 for j, b in enumerate(entities):
                     if name in oracle_modes:
@@ -170,7 +170,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
                         want = oracles.commit_measure(commits, files[a], files[b])
                     else:
                         want = oracles.author_measure(commits, files[a], files[b])
-                    got = float(matrices[name][i, j])
+                    got = float(matrix[i, j])
                     if abs(got - want) > 1e-12:
                         failures.append(
                             f"seed {seed} {name}({a},{b}) = {got} != oracle {want}"

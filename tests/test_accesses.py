@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monosplit import ANY, READ, WRITE, AccessModelError, load_access_model
+import oracles
+from monosplit import AccessModelError, load_access_model
+from monosplit.similarity import measure_matrices
 
 CHECKOUT = '{"checkout": [["Order", "R"], ["Card", "W"]]}'
 
@@ -21,9 +23,10 @@ def test_load_single_functionality():
 
 def test_lookup_by_mode():
     model = load_access_model(CHECKOUT)
-    assert model.functionalities_accessing("Order", READ) == {"checkout"}
-    assert model.functionalities_accessing("Order", WRITE) == frozenset()
-    assert model.functionalities_accessing("Card") == {"checkout"}
+    incidence = model.incidence  # one row per functionality, one column per sorted entity
+    assert incidence.read.tolist() == [[0, 1]]  # checkout reads Order
+    assert incidence.write.tolist() == [[1, 0]]  # and writes Card
+    assert incidence.touch.tolist() == [[1, 1]]
 
 
 def test_consecutive_duplicates_survive():
@@ -34,14 +37,6 @@ def test_consecutive_duplicates_survive():
 def test_empty_trace_is_allowed():
     model = load_access_model('{"noop": [], "f": [["A", "R"]]}')
     assert model.entities == ("A",)
-
-
-def test_unknown_entity_and_mode_raise():
-    model = load_access_model(CHECKOUT)
-    with pytest.raises(AccessModelError):
-        model.functionalities_accessing("Ghost")
-    with pytest.raises(AccessModelError):
-        model.functionalities_accessing("Order", "X")
 
 
 @pytest.mark.parametrize(
@@ -90,7 +85,15 @@ def test_any_is_union_of_read_and_write(traces):
     payload = {name: [[e, m] for e, m in steps] for name, steps in traces.items()}
     model = load_access_model(json.dumps(payload))
     assert set(model.entities) == {e for steps in traces.values() for e, _ in steps}
-    for entity in model.entities:
-        reads = model.functionalities_accessing(entity, READ)
-        writes = model.functionalities_accessing(entity, WRITE)
-        assert model.functionalities_accessing(entity, ANY) == reads | writes
+    incidence = model.incidence
+    assert (incidence.touch == (incidence.read | incidence.write)).all()
+    names = [f.name for f in model.functionalities]
+    for column, entity in enumerate(model.entities):
+        for array, mode in ((incidence.read, "R"), (incidence.write, "W"), (incidence.touch, "ANY")):
+            accessing = {name for name, cell in zip(names, array[:, column]) if cell}
+            assert accessing == oracles.funct_set(traces, entity, mode)
+    stack = measure_matrices(model, None, None, include_history=False)
+    for matrix, mode in zip(stack, ("ANY", "R", "W")):  # the access, read and write measures
+        for i, a in enumerate(model.entities):
+            for j, b in enumerate(model.entities):
+                assert matrix[i, j] == oracles.access_measure(traces, a, b, mode)

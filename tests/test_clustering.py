@@ -13,7 +13,6 @@ from scipy.spatial.distance import squareform
 from monosplit import (
     ClusteringError,
     Decomposition,
-    SimilarityMatrix,
     Weights,
     agglomerate,
     cut,
@@ -46,9 +45,7 @@ def _random_symmetric(rng, n, distinct=False):
 
 
 def test_to_dissimilarity_symmetrizes_and_flips():
-    values = _square([[1.0, 0.4], [0.2, 1.0]])
-    matrix = SimilarityMatrix(("A", "B"), values)
-    dissimilarity = to_dissimilarity(matrix)
+    dissimilarity = to_dissimilarity(_square([[1.0, 0.4], [0.2, 1.0]]))
     # mean of 0.4 and 0.2 is 0.3, flipped to 0.7
     assert dissimilarity[0, 1] == pytest.approx(0.7)
     assert dissimilarity[1, 0] == pytest.approx(0.7)
@@ -59,8 +56,7 @@ def test_to_dissimilarity_symmetrizes_and_flips():
 def test_to_dissimilarity_is_symmetric_for_any_input():
     rng = random.Random(7)
     values = np.array([[rng.random() for _ in range(5)] for _ in range(5)])
-    matrix = SimilarityMatrix(tuple("ABCDE"), values)
-    dissimilarity = to_dissimilarity(matrix)
+    dissimilarity = to_dissimilarity(values)
     assert np.array_equal(dissimilarity, dissimilarity.T)
     assert np.all(np.diag(dissimilarity) == 0.0)
 

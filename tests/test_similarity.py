@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from monosplit import (
-    READ,
-    WRITE,
     SimilarityError,
     Weights,
-    access_similarity,
-    author_similarity,
     build_similarity_matrix,
-    commit_similarity,
     load_access_model,
     map_entities_to_files,
-    sequence_similarity,
 )
 from monosplit.similarity import MEASURE_NAMES, blend, measure_matrices
 from synth import commits_to_history, random_commits, random_traces, to_model
@@ -36,38 +30,45 @@ def _model(traces):
     return load_access_model(json.dumps(traces))
 
 
+def _measure(model, name, entity_a, entity_b, history=None, entity_files=None):
+    """One cell of a measure matrix, looked up by measure and entity names."""
+    stack = measure_matrices(model, history, entity_files, include_history=history is not None)
+    i, j = model.entities.index(entity_a), model.entities.index(entity_b)
+    return float(stack[MEASURE_NAMES.index(name)][i, j])
+
+
 def test_access_measure_is_asymmetric_overlap():
     model = _model(THREE_SHARED)
-    assert access_similarity(model, "e1", "e2") == pytest.approx(2 / 3)
-    assert access_similarity(model, "e2", "e1") == 1.0
+    assert _measure(model, "access", "e1", "e2") == pytest.approx(2 / 3)
+    assert _measure(model, "access", "e2", "e1") == 1.0
 
 
 def test_access_measure_empty_side_is_zero():
     model = _model({"f1": [["e1", "R"], ["e2", "W"]]})
-    assert access_similarity(model, "e1", "e2", WRITE) == 0.0  # e1 is never written
-    assert access_similarity(model, "e2", "e1", WRITE) == 0.0  # empty intersection
-    assert access_similarity(model, "e2", "e2", WRITE) == 1.0
-    assert access_similarity(model, "e2", "e1", READ) == 0.0
+    assert _measure(model, "write", "e1", "e2") == 0.0  # e1 is never written
+    assert _measure(model, "write", "e2", "e1") == 0.0  # empty intersection
+    assert _measure(model, "write", "e2", "e2") == 1.0
+    assert _measure(model, "read", "e2", "e1") == 0.0
 
 
 def test_sequence_measure_counts_adjacent_positions():
     model = _model({"f": [["A", "R"], ["B", "W"], ["A", "R"], ["C", "R"]]})
     # pairs: (A,B) twice, (A,C) once; the maximum is 2
-    assert sequence_similarity(model, "A", "B") == 1.0
-    assert sequence_similarity(model, "B", "A") == 1.0
-    assert sequence_similarity(model, "A", "C") == 0.5
-    assert sequence_similarity(model, "B", "C") == 0.0
-    assert sequence_similarity(model, "A", "A") == 0.0
+    assert _measure(model, "sequence", "A", "B") == 1.0
+    assert _measure(model, "sequence", "B", "A") == 1.0
+    assert _measure(model, "sequence", "A", "C") == 0.5
+    assert _measure(model, "sequence", "B", "C") == 0.0
+    assert _measure(model, "sequence", "A", "A") == 0.0
 
 
 def test_sequence_measure_ignores_self_adjacency():
     model = _model({"f": [["A", "R"], ["A", "W"], ["B", "R"]]})
-    assert sequence_similarity(model, "A", "B") == 1.0
+    assert _measure(model, "sequence", "A", "B") == 1.0
 
 
 def test_sequence_measure_without_adjacency_is_zero():
     model = _model({"f1": [["A", "R"]], "f2": [["B", "W"]]})
-    assert sequence_similarity(model, "A", "B") == 0.0
+    assert _measure(model, "sequence", "A", "B") == 0.0
 
 
 COMMITS = [
@@ -75,6 +76,8 @@ COMMITS = [
     ("y", {"src/A.java", "src/B.java", "src/C.java"}),
     ("x", {"src/A.java"}),
 ]
+ABC = {"f": [["A", "R"], ["B", "R"], ["C", "R"]]}
+ABC_FILES = {"A": "src/A.java", "B": "src/B.java", "C": "src/C.java"}
 
 
 @pytest.fixture()
@@ -83,29 +86,35 @@ def small_history():
 
 
 def test_commit_measure(small_history):
-    assert commit_similarity(small_history, "src/A.java", "src/B.java") == pytest.approx(2 / 3)
-    assert commit_similarity(small_history, "src/B.java", "src/A.java") == 1.0
-    assert commit_similarity(small_history, "src/A.java", "src/A.java") == 1.0
-    assert commit_similarity(small_history, "src/A.java", "src/C.java") == pytest.approx(1 / 3)
-    with pytest.raises(Exception):
-        commit_similarity(small_history, "src/A.java", "src/Nope.java")
+    model = _model(ABC)
+
+    def commit(a, b):
+        return _measure(model, "commit", a, b, small_history, ABC_FILES)
+
+    assert commit("A", "B") == pytest.approx(2 / 3)
+    assert commit("B", "A") == 1.0
+    assert commit("A", "A") == 1.0
+    assert commit("A", "C") == pytest.approx(1 / 3)
+    with pytest.raises(SimilarityError, match="Nope"):
+        measure_matrices(model, small_history, {**ABC_FILES, "B": "src/Nope.java"})
 
 
 def test_author_measure(small_history):
-    assert author_similarity(small_history, "src/A.java", "src/C.java") == 0.5
-    assert author_similarity(small_history, "src/C.java", "src/A.java") == 1.0
+    model = _model(ABC)
+    assert _measure(model, "author", "A", "C", small_history, ABC_FILES) == 0.5
+    assert _measure(model, "author", "C", "A", small_history, ABC_FILES) == 1.0
 
 
 def test_history_matrices_of_entities_sharing_a_file(small_history):
     model = _model({"f1": [["A", "R"], ["A2", "W"], ["C", "R"]]})
     entity_files = {"A": "src/A.java", "A2": "src/A.java", "C": "src/C.java"}
-    matrices = measure_matrices(model, small_history, entity_files)
+    stack = measure_matrices(model, small_history, entity_files)
     a, a2, c = (model.entities.index(e) for e in ("A", "A2", "C"))
-    for name, other in (("commit", commit_similarity), ("author", author_similarity)):
-        matrix = matrices[name]
+    for name, oracle in (("commit", oracles.commit_measure), ("author", oracles.author_measure)):
+        matrix = stack[MEASURE_NAMES.index(name)]
         assert matrix[a, a2] == matrix[a2, a] == 1.0
-        assert matrix[a2, c] == matrix[a, c] == other(small_history, "src/A.java", "src/C.java")
-        assert matrix[c, a2] == matrix[c, a] == other(small_history, "src/C.java", "src/A.java")
+        assert matrix[a2, c] == matrix[a, c] == oracle(COMMITS, "src/A.java", "src/C.java")
+        assert matrix[c, a2] == matrix[c, a] == oracle(COMMITS, "src/C.java", "src/A.java")
 
 
 def test_weights_validation():
@@ -211,44 +220,43 @@ def _random_setup(seed, n_entities=6):
 @pytest.mark.parametrize("seed", range(8))
 def test_measures_match_oracles(seed):
     _, traces, model, commits, history, files = _random_setup(seed)
-    for a in model.entities:
-        for b in model.entities:
-            for mode, label in (("ANY", "ANY"), (READ, "R"), (WRITE, "W")):
-                assert access_similarity(model, a, b, mode) == pytest.approx(
-                    oracles.access_measure(traces, a, b, label), abs=1e-12
-                )
-            assert sequence_similarity(model, a, b) == pytest.approx(
-                oracles.sequence_measure(traces, a, b), abs=1e-12
-            )
-            assert commit_similarity(history, files[a], files[b]) == pytest.approx(
-                oracles.commit_measure(commits, files[a], files[b]), abs=1e-12
-            )
-            assert author_similarity(history, files[a], files[b]) == pytest.approx(
-                oracles.author_measure(commits, files[a], files[b]), abs=1e-12
-            )
+    stack = measure_matrices(model, history, files)
+    oracle = {
+        "access": lambda a, b: oracles.access_measure(traces, a, b, "ANY"),
+        "read": lambda a, b: oracles.access_measure(traces, a, b, "R"),
+        "write": lambda a, b: oracles.access_measure(traces, a, b, "W"),
+        "sequence": lambda a, b: oracles.sequence_measure(traces, a, b),
+        "commit": lambda a, b: oracles.commit_measure(commits, files[a], files[b]),
+        "author": lambda a, b: oracles.author_measure(commits, files[a], files[b]),
+    }
+    for matrix, name in zip(stack, MEASURE_NAMES):
+        for i, a in enumerate(model.entities):
+            for j, b in enumerate(model.entities):
+                assert matrix[i, j] == pytest.approx(oracle[name](a, b), abs=1e-12), (name, a, b)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_all_measures_within_unit_range(seed):
     _, _, model, _, history, files = _random_setup(seed)
-    matrices = measure_matrices(model, history, files)
-    for name in MEASURE_NAMES:
-        values = matrices[name]
+    stack = measure_matrices(model, history, files)
+    assert stack.shape == (len(MEASURE_NAMES), len(model.entities), len(model.entities))
+    for name, values in zip(MEASURE_NAMES, stack):
         assert np.all(values >= 0.0) and np.all(values <= 1.0), name
-    assert np.allclose(matrices["sequence"], matrices["sequence"].T)
+    sequence = stack[MEASURE_NAMES.index("sequence")]
+    assert np.allclose(sequence, sequence.T)
 
 
 @pytest.mark.parametrize("index,name", list(enumerate(MEASURE_NAMES)))
 def test_concentrated_weights_reproduce_each_measure(index, name):
     _, _, model, _, history, files = _random_setup(42)
-    matrices = measure_matrices(model, history, files)
+    stack = measure_matrices(model, history, files)
     vector = [0] * 6
     vector[index] = 100
     blended = build_similarity_matrix(model, history, files, Weights(*vector)).values
     n = len(model.entities)
     off_diagonal = ~np.eye(n, dtype=bool)
     # up to one rounding of the multiply/divide by 100 round trip
-    assert np.allclose(blended[off_diagonal], matrices[name][off_diagonal], rtol=0, atol=1e-15)
+    assert np.allclose(blended[off_diagonal], stack[index][off_diagonal], rtol=0, atol=1e-15)
     assert np.all(np.diag(blended) == 1.0)
 
 
@@ -256,7 +264,7 @@ def test_concentrated_weights_reproduce_each_measure(index, name):
 @settings(max_examples=30, deadline=None)
 def test_blending_shift_is_linear_in_the_moved_weight(seed, data):
     _, _, model, _, history, files = _random_setup(seed, n_entities=4)
-    matrices = measure_matrices(model, history, files)
+    stack = measure_matrices(model, history, files)
     base = [20, 20, 20, 20, 10, 10]
     up = data.draw(st.integers(min_value=0, max_value=5), label="up")
     down = data.draw(st.integers(min_value=0, max_value=5), label="down")
@@ -265,9 +273,9 @@ def test_blending_shift_is_linear_in_the_moved_weight(seed, data):
     moved = base[:]
     moved[up] += 10
     moved[down] -= 10
-    before = blend(matrices, Weights(*base))
-    after = blend(matrices, Weights(*moved))
-    expected_delta = 0.1 * (matrices[MEASURE_NAMES[up]] - matrices[MEASURE_NAMES[down]])
+    before = blend(stack, Weights(*base))
+    after = blend(stack, Weights(*moved))
+    expected_delta = 0.1 * (stack[up] - stack[down])
     n = len(model.entities)
     off_diagonal = ~np.eye(n, dtype=bool)
     assert np.allclose((after - before)[off_diagonal], expected_delta[off_diagonal], atol=1e-12)

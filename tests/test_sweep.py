@@ -185,6 +185,21 @@ def test_sweep_metrics_are_in_range(small_sweep):
             assert 0.0 <= value <= 1.0
 
 
+def _single_runs(model, history, files, weights, counts, codebase):
+    """Metrics of the partitions `decompose` returns for these weights, by cluster count."""
+    matrix = build_similarity_matrix(model, history, files, weights)
+    dendrogram = agglomerate(to_dissimilarity(matrix.values))
+    return {
+        n: evaluate(
+            Decomposition(codebase, cut(dendrogram, n, matrix.entities), weights),
+            model,
+            history,
+            files,
+        )
+        for n in counts
+    }
+
+
 @pytest.mark.parametrize(
     "vector",
     [
@@ -197,14 +212,36 @@ def test_sweep_metrics_are_in_range(small_sweep):
 def test_sweep_rows_match_single_runs(small_sweep, vector):
     model, history, files, rows, _ = small_sweep
     weights = Weights(*vector)
-    matrix = build_similarity_matrix(model, history, files, weights)
-    dendrogram = agglomerate(to_dissimilarity(matrix))
-    clusters = cut(dendrogram, 3, matrix.entities)
-    expected = evaluate(
-        Decomposition("demo", clusters, weights), model, history, files
-    )
+    expected = _single_runs(model, history, files, weights, [3], "demo")
     row = next(r for r in rows if r.weights == weights)
-    assert row.metrics == expected
+    assert row.metrics == expected[3]
+
+
+@pytest.mark.parametrize("n_entities", [25, 50])
+def test_sweep_rows_match_single_runs_on_whole_grid(n_entities):
+    """Every row of a step-20 sweep scores the partition `decompose` gives its weights.
+
+    The seeds give grids where some UPGMA merges tie; a blend that summed the
+    measures in another order than the sweep's would break those ties apart.
+    """
+    rng = random.Random(n_entities)
+    traces = random_traces(rng, n_entities, 10, max_extra=12)
+    model = to_model(traces)
+    commits, files = random_commits(rng, model.entities, extra_commits=4 * n_entities)
+    history = commits_to_history(commits)
+    rows, failures = run_sweep(model, history, files, "grid", step=20)
+    assert failures == []
+    counts = cluster_counts(n_entities)
+    grid = enumerate_weights(20)
+    scored = {(row.weights, row.n_clusters): row.metrics for row in rows}
+    assert len(scored) == len(rows) == len(grid) * len(counts)
+    mismatched = [
+        (weights.as_tuple(), n)
+        for weights in grid
+        for n, record in _single_runs(model, history, files, weights, counts, "grid").items()
+        if scored[(weights, n)] != record
+    ]
+    assert mismatched == []
 
 
 def test_sweep_covers_wider_band_for_larger_codebases():
