@@ -1,6 +1,6 @@
 """Candidate microservice decompositions of a monolith from development history and access traces."""
 
-from .accesses import ANY, READ, WRITE, AccessModel, AccessModelError, load_access_model
+from .accesses import READ, WRITE, AccessModel, AccessModelError, load_access_model
 from .analysis import (
     CodebaseStats,
     SizeSplit,

@@ -10,7 +10,6 @@ import numpy as np
 
 READ = "R"
 WRITE = "W"
-ANY = "ANY"  # union of read and write
 
 _MODES = (READ, WRITE)
 
@@ -38,8 +37,9 @@ class Incidence:
     read: np.ndarray  # (functionalities, entities): 1 where the functionality reads the entity
     write: np.ndarray  # (functionalities, entities): 1 where it writes the entity
     touch: np.ndarray  # (functionalities, entities): 1 where it reads or writes the entity
-    # Directed trace adjacency (entities x entities), kept as its nonzero entries:
-    # some trace steps straight from entity step_from[i] to entity step_to[i].
+    steps: np.ndarray  # (entities, entities): how often a trace steps from one to the other
+    # The nonzero cells of steps in row-major order: some trace steps straight
+    # from entity step_from[i] to entity step_to[i].
     step_from: np.ndarray
     step_to: np.ndarray
     max_splitting_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
@@ -62,21 +62,24 @@ class AccessModel:
 
     @cached_property
     def incidence(self) -> Incidence:
-        """Read, write and adjacency arrays, built on first use."""
+        """Read, write and step-count arrays, built on first use."""
         n = len(self.entities)
         column = {e: i for i, e in enumerate(self.entities)}
         cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
-        steps: set[int] = set()  # from * n + to
+        step_cells: list[int] = []  # from * n + to, once per step
         for row, funct in enumerate(self.functionalities):
             path = [column[a.entity] for a in funct.trace]
             for access, entity in zip(funct.trace, path):
                 cells[access.mode].append(row * n + entity)
-            steps.update(a * n + b for a, b in zip(path, path[1:]))
+            step_cells.extend(a * n + b for a, b in zip(path, path[1:]))
         read = np.zeros((len(self.functionalities), n), dtype=np.int64)
         write = np.zeros_like(read)
         read.flat[cells[READ]] = 1
         write.flat[cells[WRITE]] = 1
-        step_from, step_to = np.divmod(np.array(sorted(steps), dtype=np.intp), n)
+        step_index = np.array(step_cells, dtype=np.intp)
+        steps = np.bincount(step_index, minlength=n * n).reshape(n, n)
+        # np.nonzero(steps), without scanning all n * n cells
+        step_from, step_to = np.divmod(np.unique(step_index), n)
         # A functionality touching two entities is split by the all-singletons
         # decomposition; each of its distinct (entity, mode) accesses costs one
         # per other such functionality touching that entity in any mode.
@@ -85,17 +88,8 @@ class AccessModel:
         touchers = touch[distributed].sum(axis=0)
         accesses = (read + write)[distributed].sum(axis=0)
         return Incidence(
-            read, write, touch, step_from, step_to, int(accesses @ (touchers - 1))
+            read, write, touch, steps, step_from, step_to, int(accesses @ (touchers - 1))
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            f.name: [[a.entity, a.mode] for a in f.trace]
-            for f in sorted(self.functionalities, key=lambda f: f.name)
-        }
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _reject_duplicate_keys(pairs):

@@ -12,6 +12,9 @@ from scipy.special import stdtr
 from .sweep import GROUPS, ResultRow
 
 METRIC_COLUMNS = ("uniformComplexity", "cohesion", "coupling", "tsr", "combined")
+_METRIC_ATTRIBUTES = dict(
+    zip(METRIC_COLUMNS, ("uniform_complexity", "cohesion", "coupling", "tsr", "combined"))
+)
 HIGHER_IS_BETTER = {"cohesion"}
 
 SMALL = "SMALL"
@@ -24,13 +27,7 @@ class StatsError(ValueError):
 
 def metric_value(row: ResultRow, metric: str) -> float:
     try:
-        attr = {
-            "uniformComplexity": "uniform_complexity",
-            "cohesion": "cohesion",
-            "coupling": "coupling",
-            "tsr": "tsr",
-            "combined": "combined",
-        }[metric]
+        attr = _METRIC_ATTRIBUTES[metric]
     except KeyError:
         raise StatsError(f"unknown metric: {metric!r}") from None
     return getattr(row.metrics, attr)

@@ -16,6 +16,7 @@ from .analysis import (
     best_decompositions,
     best_share_by_group,
     group_summary,
+    metric_value,
     size_split,
     welch_test,
 )
@@ -154,8 +155,6 @@ def _cmd_analyze(args) -> int:
                 raise UsageError(f"unknown group: {group!r}")
         if metric not in METRIC_COLUMNS:
             raise UsageError(f"unknown metric: {metric!r}")
-        from .analysis import metric_value
-
         sample_a = [metric_value(r, metric) for r in rows if r.group == group_a]
         sample_b = [metric_value(r, metric) for r in rows if r.group == group_b]
         result = welch_test(sample_a, sample_b)

@@ -209,9 +209,6 @@ class Decomposition:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def entities(self) -> tuple[str, ...]:
-        return tuple(sorted(e for cluster in self.clusters for e in cluster))
-
     def assignment(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for index, cluster in enumerate(self.clusters):
@@ -240,17 +237,3 @@ class Decomposition:
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "Decomposition":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ClusteringError(f"invalid decomposition JSON: {exc}") from exc
-        if not isinstance(raw, dict) or not {"codebase", "nClusters", "clusters"} <= set(raw):
-            raise ClusteringError("decomposition JSON missing required keys")
-        weights = Weights(*raw["weights"]) if raw.get("weights") else None
-        decomposition = cls.from_clusters(raw["codebase"], raw["clusters"], weights)
-        if decomposition.n_clusters != raw["nClusters"]:
-            raise ClusteringError("nClusters does not match the cluster list")
-        return decomposition

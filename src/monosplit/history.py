@@ -173,22 +173,20 @@ def resolve_renames(events: list[ChangeEvent]) -> list[ChangeEvent]:
 
 
 def prune_deleted(events: list[ChangeEvent]) -> list[ChangeEvent]:
-    """Drop files whose last delete is never followed by another change; drop all delete events."""
+    """Drop files whose last delete is never followed by another change; drop all delete events.
+
+    A change at the same timestamp as the last delete does not revive the file.
+    """
     last_delete: dict[str, int] = {}
+    last_change: dict[str, int] = {}
     for event in events:
-        if event.status == DELETE:
-            prev = last_delete.get(event.filename)
-            if prev is None or event.timestamp > prev:
-                last_delete[event.filename] = event.timestamp
-    dead = set()
-    for filename, deleted_at in last_delete.items():
-        revived = any(
-            e.status != DELETE and e.timestamp > deleted_at
-            for e in events
-            if e.filename == filename
-        )
-        if not revived:
-            dead.add(filename)
+        latest = last_delete if event.status == DELETE else last_change
+        latest[event.filename] = max(event.timestamp, latest.get(event.filename, event.timestamp))
+    dead = {
+        filename
+        for filename, deleted_at in last_delete.items()
+        if last_change.get(filename, deleted_at) <= deleted_at
+    }
     return [e for e in events if e.status != DELETE and e.filename not in dead]
 
 
@@ -278,27 +276,6 @@ class DevelopmentHistory:
         except KeyError:
             raise HistoryError(f"file absent from history: {filename!r}") from None
 
-    def co_change_count(self, file_a: str, file_b: str) -> int:
-        """Logical commits touching both files; a file trivially co-changes with itself."""
-        for name in (file_a, file_b):
-            if name not in self.file_commit_count:
-                raise HistoryError(f"file absent from history: {name!r}")
-        if file_a == file_b:
-            return self.file_commit_count[file_a]
-        return self.co_changes.get(file_a, {}).get(file_b, 0)
-
-    def authors(self, filename: str) -> frozenset[str]:
-        try:
-            return self.file_authors[filename]
-        except KeyError:
-            raise HistoryError(f"file absent from history: {filename!r}") from None
-
-    def all_authors(self) -> frozenset[str]:
-        out: set[str] = set()
-        for authors in self.file_authors.values():
-            out |= authors
-        return frozenset(out)
-
     def entity_authors(self, entity_files: dict[str, str | None]) -> EntityAuthors:
         """Authors of each entity's file, as incidence; cached for the last mapping asked.
 
@@ -306,7 +283,8 @@ class DevelopmentHistory:
         empty row.  There is one column per author of the whole history.
         """
         if self._entity_authors is None or self._entity_authors[0] != entity_files:
-            columns = {a: i for i, a in enumerate(sorted(self.all_authors()))}
+            authors = sorted(set().union(*self.file_authors.values()))
+            columns = {a: i for i, a in enumerate(authors)}
             rows: dict[str, int] = {}
             masks: dict[str, int] = {}
             cells: list[int] = []

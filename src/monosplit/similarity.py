@@ -8,7 +8,7 @@ from posixpath import basename
 
 import numpy as np
 
-from .accesses import ANY, READ, WRITE, AccessModel
+from .accesses import AccessModel
 from .history import DevelopmentHistory
 
 logger = logging.getLogger(__name__)
@@ -53,27 +53,6 @@ class Weights:
         return cls(*numbers)
 
 
-def adjacency_pair_counts(model: AccessModel) -> tuple[dict[tuple[str, str], int], int]:
-    """Count consecutive-position entity pairs over all traces.
-
-    Keys are sorted (entity, entity) pairs of distinct entities; the second item
-    is the maximum count over all pairs (0 when no pair is ever adjacent).
-    """
-    counts: dict[tuple[str, str], int] = {}
-    for funct in model.functionalities:
-        trace = funct.trace
-        for first, second in zip(trace, trace[1:]):
-            if first.entity == second.entity:
-                continue
-            key = (
-                (first.entity, second.entity)
-                if first.entity < second.entity
-                else (second.entity, first.entity)
-            )
-            counts[key] = counts.get(key, 0) + 1
-    return counts, max(counts.values(), default=0)
-
-
 def map_entities_to_files(
     entities, history: DevelopmentHistory, extension: str = ".java"
 ) -> dict[str, str | None]:
@@ -110,24 +89,21 @@ def _row_shares(shared: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_matrix(model: AccessModel, mode: str) -> np.ndarray:
-    incidence = model.incidence
-    touches = {ANY: incidence.touch, READ: incidence.read, WRITE: incidence.write}[mode].astype(float)
+def _mode_matrix(incidence: np.ndarray) -> np.ndarray:
+    """Share of the functionalities touching entity i that also touch entity j, in one mode."""
+    touches = incidence.astype(float)
     shared = touches.T @ touches
     return _row_shares(shared, np.diag(shared))
 
 
-def _sequence_matrix(model: AccessModel) -> np.ndarray:
-    entities = model.entities
-    index = {e: i for i, e in enumerate(entities)}
-    counts, max_count = adjacency_pair_counts(model)
-    out = np.zeros((len(entities), len(entities)))
-    if max_count == 0:
-        return out
-    for (entity_a, entity_b), count in counts.items():
-        i, j = index[entity_a], index[entity_b]
-        out[i, j] = out[j, i] = count / max_count
-    return out
+def _sequence_matrix(steps: np.ndarray) -> np.ndarray:
+    """Steps between two distinct entities, either way, over the most frequent such pair."""
+    pairs = steps + steps.T
+    np.fill_diagonal(pairs, 0)
+    longest = pairs.max(initial=0)
+    if longest == 0:
+        return np.zeros(pairs.shape)
+    return pairs / longest
 
 
 def _commit_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
@@ -195,11 +171,12 @@ def measure_matrices(
     """
     entities = model.entities
     n = len(entities)
+    incidence = model.incidence
     stack = np.zeros((len(MEASURE_NAMES), n, n))
-    stack[0] = _mode_matrix(model, ANY)
-    stack[1] = _mode_matrix(model, READ)
-    stack[2] = _mode_matrix(model, WRITE)
-    stack[3] = _sequence_matrix(model)
+    stack[0] = _mode_matrix(incidence.touch)
+    stack[1] = _mode_matrix(incidence.read)
+    stack[2] = _mode_matrix(incidence.write)
+    stack[3] = _sequence_matrix(incidence.steps)
     if not include_history:
         return stack
     if history is None or entity_files is None:

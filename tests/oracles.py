@@ -35,6 +35,16 @@ def pair_count(traces, entity_a, entity_b):
     return count
 
 
+def step_count(traces, first, second):
+    """Directed: how often a trace accesses `second` straight after `first` (they may be equal)."""
+    count = 0
+    for steps in traces.values():
+        for (e1, _), (e2, _) in zip(steps, steps[1:]):
+            if (e1, e2) == (first, second):
+                count += 1
+    return count
+
+
 def sequence_measure(traces, entity_a, entity_b):
     if entity_a == entity_b:
         return 0.0
@@ -198,6 +208,19 @@ def welch_measure(sample_a, sample_b):
         (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
     )
     return t, df, student_upper_tail(t, df)
+
+
+def dead_files(events):
+    """Files a history drops: deleted, and never changed later than their last delete.
+
+    Events are (filename, status, timestamp) triples, status "D" for a delete.
+    """
+    dead = set()
+    for name in {f for f, _, _ in events}:
+        deletes = [t for f, s, t in events if f == name and s == "D"]
+        if deletes and not any(f == name and s != "D" and t > max(deletes) for f, s, t in events):
+            dead.add(name)
+    return dead
 
 
 def upgma_merges(matrix):

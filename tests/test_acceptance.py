@@ -180,7 +180,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
                 "synth", random_partition(rng, entities, k)
             )
             clusters = [list(c) for c in decomposition.clusters]
-            file_authors = {f: set(history.authors(f)) for f in history.files()}
+            file_authors = {f: set(history.file_authors[f]) for f in history.files()}
             checks = (
                 ("complexity", complexity(decomposition, model),
                  oracles.complexity_measure(clusters, traces)),

@@ -1,7 +1,8 @@
-"""Access model loading, lookup and round-trip behavior."""
+"""Access model loading and its incidence arrays."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,18 +58,6 @@ def test_schema_errors(payload):
         load_access_model(payload)
 
 
-def test_serialize_round_trip_is_idempotent():
-    model = load_access_model('{"b": [["Y", "W"]], "a": [["X", "R"], ["X", "R"]]}')
-    once = model.serialize()
-    again = load_access_model(once).serialize()
-    assert once == again
-    reloaded = load_access_model(once)
-    assert reloaded.entities == model.entities
-    assert {f.name: f.trace for f in reloaded.functionalities} == {
-        f.name: f.trace for f in model.functionalities
-    }
-
-
 traces_strategy = st.dictionaries(
     st.text(alphabet="abcdef", min_size=1, max_size=4),
     st.lists(
@@ -97,3 +86,16 @@ def test_any_is_union_of_read_and_write(traces):
         for i, a in enumerate(model.entities):
             for j, b in enumerate(model.entities):
                 assert matrix[i, j] == oracles.access_measure(traces, a, b, mode)
+
+
+@given(traces_strategy)
+def test_steps_count_every_directed_step(traces):
+    payload = {name: [[e, m] for e, m in steps] for name, steps in traces.items()}
+    model = load_access_model(json.dumps(payload))
+    incidence = model.incidence
+    for i, first in enumerate(model.entities):
+        for j, second in enumerate(model.entities):
+            assert incidence.steps[i, j] == oracles.step_count(traces, first, second)
+    step_from, step_to = np.nonzero(incidence.steps)
+    assert np.array_equal(incidence.step_from, step_from)
+    assert np.array_equal(incidence.step_to, step_to)

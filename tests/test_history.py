@@ -1,11 +1,13 @@
 """Log parsing, rename/delete handling, bundling and history counting."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import log_fixture
 from monosplit import (
     DevelopmentHistory,
@@ -191,12 +193,12 @@ def test_counts_over_logical_commits():
     ]
     history = build_history_representation(commits)
     assert history.commit_count("A") == 3
-    assert history.co_change_count("A", "B") == 2
-    assert history.co_change_count("B", "A") == 2
-    assert history.co_change_count("A", "A") == 3
-    assert history.authors("A") == {"x", "y"}
-    assert history.authors("C") == {"y"}
-    assert history.all_authors() == {"x", "y"}
+    assert history.co_changes["A"]["B"] == 2
+    assert history.co_changes["B"]["A"] == 2
+    assert "A" not in history.co_changes["A"]  # a file's own count is its commit count
+    assert history.file_authors["A"] == {"x", "y"}
+    assert history.file_authors["C"] == {"y"}
+    assert set().union(*history.file_authors.values()) == {"x", "y"}
 
 
 def test_oversized_logical_commit_not_counted():
@@ -220,10 +222,9 @@ def test_unknown_file_raises():
     history = build_history_representation([_logical("x", {"A"})])
     with pytest.raises(HistoryError):
         history.commit_count("B")
-    with pytest.raises(HistoryError):
-        history.co_change_count("A", "B")
-    with pytest.raises(HistoryError):
-        history.authors("B")
+    assert not history.has_file("B")
+    assert "B" not in history.co_changes.get("A", {})
+    assert "B" not in history.file_authors
 
 
 EXPECTED_RENAME_CHAIN = {
@@ -348,8 +349,21 @@ def test_pipeline_invariants_on_random_streams(events):
     history = build_history_representation(commits)
     for file_a in history.files():
         assert history.commit_count(file_a) >= 1
-        assert history.authors(file_a)
+        assert history.file_authors[file_a]
         for file_b, shared in history.co_changes.get(file_a, {}).items():
             assert shared == history.co_changes[file_b][file_a]
             assert shared <= min(history.commit_count(file_a), history.commit_count(file_b))
     assert DevelopmentHistory.parse(history.serialize()).to_json_dict() == history.to_json_dict()
+
+
+@given(commit_stream(), st.sampled_from([1, 3600, 86_400]), st.booleans(), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_prune_drops_exactly_the_dead_files(events, tick, shuffled, rng):
+    # coarser clocks put deletes and other changes of one file at equal timestamps
+    events = [replace(e, timestamp=e.timestamp // tick) for e in events]
+    if shuffled:
+        rng.shuffle(events)
+    dead = oracles.dead_files([(e.filename, e.status, e.timestamp) for e in events])
+    assert prune_deleted(events) == [
+        e for e in events if e.status != DELETE and e.filename not in dead
+    ]

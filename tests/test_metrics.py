@@ -305,7 +305,7 @@ def test_metrics_match_naive_oracles(seed):
         )
         assert cohesion(decomposition, model) == oracles.cohesion_measure(clusters, traces)
         assert coupling(decomposition, model) == oracles.coupling_measure(clusters, traces)
-        file_authors = {f: set(history.authors(f)) for f in history.files()}
+        file_authors = {f: set(history.file_authors[f]) for f in history.files()}
         assert tsr(decomposition, history, files) == oracles.tsr_measure(
             clusters, files, file_authors
         )

@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from monosplit import Decomposition, evaluate, run_sweep, write_results_csv
+from monosplit import (
+    Decomposition,
+    Weights,
+    agglomerate,
+    build_similarity_matrix,
+    cut,
+    evaluate,
+    run_sweep,
+    to_dissimilarity,
+    write_results_csv,
+)
 
 import oracles
 from synth import (
@@ -37,7 +47,7 @@ def _partitions(rng, entities):
 
 
 def _oracle_record(clusters, traces, files, history):
-    file_authors = {f: set(history.authors(f)) for f in history.files()}
+    file_authors = {f: set(history.file_authors[f]) for f in history.files()}
     uniform = oracles.uniform_complexity_measure(clusters, traces)
     cohesion = oracles.cohesion_measure(clusters, traces)
     coupling = oracles.coupling_measure(clusters, traces)
@@ -95,3 +105,36 @@ def test_sweep_csv_is_byte_identical(seed, n_entities, n_functionalities):
     rows, failures = run_sweep(model, history, files, f"synth{seed}", step=step)
     assert not failures
     assert hashlib.sha256(write_results_csv(rows).encode()).hexdigest() == expected
+
+
+# SHA-256 of the decompose path's matrix CSV and of its 5-cluster decomposition
+# JSON per weight vector, on a seeded 24-entity model; taken before the
+# sequence measure moved onto the step-count matrix.
+DECOMPOSE_SHA256 = {
+    (0, 0, 0, 100, 0, 0): (
+        "3f6a673f9cb4521fb5e70783f0209cdbb168370103bda41729b7d1a4db89a8f3",
+        "6a979f5b58a89a94c5a57af34849a8d6e2a68822590880da62c40a9a9df23a8e",
+    ),
+    (100, 0, 0, 0, 0, 0): (
+        "2d299ad92c618acef0cda6520b6cab4ccc9291a0d9978f522c87f6a29fae7d76",
+        "d021cc6fcf1ec7f5f649437324a0570b26206f684094bdc82a130be32e1d731e",
+    ),
+    (20, 15, 15, 10, 20, 20): (
+        "ffce553a372a88a0af6d71c454a6eb72263bebf2ec34526e30a05f4503c3ad57",
+        "61c7bd86cb6e0e9d8fa3927f3315fa4cd9d02a7694086342db3b6826249973fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(DECOMPOSE_SHA256))
+def test_decompose_outputs_are_byte_identical(weights):
+    matrix_sha, decomposition_sha = DECOMPOSE_SHA256[weights]
+    rng = random.Random(21)
+    model = to_model(random_traces(rng, 24, 10, max_extra=12))
+    commits, files = random_commits(rng, model.entities, extra_commits=4 * 24)
+    history = commits_to_history(commits)
+    matrix = build_similarity_matrix(model, history, files, Weights(*weights))
+    clusters = cut(agglomerate(to_dissimilarity(matrix.values)), 5, matrix.entities)
+    decomposition = Decomposition("synth", clusters, Weights(*weights))
+    assert hashlib.sha256(matrix.to_csv().encode()).hexdigest() == matrix_sha
+    assert hashlib.sha256(decomposition.serialize().encode()).hexdigest() == decomposition_sha
