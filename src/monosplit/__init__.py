@@ -29,6 +29,7 @@ from .history import (
 from .metrics import (
     MetricsError,
     MetricsRecord,
+    Scorer,
     cohesion,
     combined_score,
     complexity,

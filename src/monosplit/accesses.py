@@ -42,7 +42,7 @@ class Incidence:
     # from entity step_from[i] to entity step_to[i].
     step_from: np.ndarray
     step_to: np.ndarray
-    max_splitting_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
+    singletons_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
 
 
 class AccessModel:

@@ -15,18 +15,27 @@ class ClusteringError(ValueError):
 
 
 @dataclass(frozen=True)
-class Merge:
-    left: int  # cluster id, left < right
-    right: int
-    height: float  # average dissimilarity at merge time
-
-
-@dataclass(frozen=True)
 class Dendrogram:
-    """Full merge history; leaves are 0..n_leaves-1, merged clusters count upward from n_leaves."""
+    """Full merge history as three merge arrays, one entry per merge.
+
+    Leaves are 0..n_leaves-1; merge s creates cluster n_leaves + s out of
+    clusters left[s] < right[s], at average dissimilarity height[s].
+    """
 
     n_leaves: int
-    merges: tuple[Merge, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    height: tuple[float, ...]
+
+
+def members(mask: int) -> list[int]:
+    """Indices of the set bits of a member mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def to_dissimilarity(values: np.ndarray) -> np.ndarray:
@@ -70,7 +79,7 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
     sizes[:n] = 1
     active = np.zeros(total, dtype=bool)
     active[:n] = True
-    merges = []
+    lefts, rights, heights = [], [], []
     for step in range(n - 1):
         new_id = n + step
         view = work[:new_id, :new_id]
@@ -91,8 +100,10 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
         active[new_id] = True
         work[left, :] = work[:, left] = np.inf
         work[right, :] = work[:, right] = np.inf
-        merges.append(Merge(left, right, height))
-    return Dendrogram(n, tuple(merges))
+        lefts.append(left)
+        rights.append(right)
+        heights.append(height)
+    return Dendrogram(n, tuple(lefts), tuple(rights), tuple(heights))
 
 
 def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
@@ -159,32 +170,36 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
         nearest[which, slot] = np.where(lines == low[:, None], ids[which], no_id).argmin(axis=1)
         distance[which, slot] = low
     return [
-        Dendrogram(n, tuple(map(Merge, left, right, height)))
+        Dendrogram(n, tuple(left), tuple(right), tuple(height))
         for left, right, height in zip(lefts.T.tolist(), rights.T.tolist(), heights.T.tolist())
     ]
 
 
-def cuts(dendrogram: Dendrogram, counts, entities) -> dict[int, tuple[tuple[str, ...], ...]]:
-    """`cut` at each of the cluster counts, from one replay of the merges."""
-    entities = tuple(entities)
+def cuts(dendrogram: Dendrogram, counts) -> dict[int, tuple[int, ...]]:
+    """Partition at each of the cluster counts, from one replay of the merges.
+
+    A partition is a tuple of member masks, bit i standing for leaf i, ordered
+    by lowest set bit.  Over sorted leaves that is the order of `cut`'s sorted
+    name tuples.
+    """
     n = dendrogram.n_leaves
-    if len(entities) != n:
-        raise ClusteringError(f"expected {n} entities, got {len(entities)}")
     wanted = set(counts)
     for n_clusters in wanted:
         if not 1 <= n_clusters <= n:
             raise ClusteringError(f"cannot cut {n} leaves into {n_clusters} clusters")
-    lowest = min(wanted, default=n)
-    components = {i: (entities[i],) for i in range(n)}
-    out = {}
-    for step in range(n - lowest + 1):
-        if n - step in wanted:
-            out[n - step] = tuple(sorted(components.values()))
-        if n - step > lowest:
-            merge = dendrogram.merges[step]
-            components[n + step] = tuple(
-                sorted(components.pop(merge.left) + components.pop(merge.right))
-            )
+    slots = [1 << i for i in range(n)]  # slot i: the cluster whose lowest leaf is i, else 0
+    lowest_leaf = list(range(n))  # by cluster id
+    out = {n: tuple(slots)} if n in wanted else {}
+    for step in range(n - min(wanted, default=n)):
+        a = lowest_leaf[dendrogram.left[step]]
+        b = lowest_leaf[dendrogram.right[step]]
+        if b < a:
+            a, b = b, a
+        slots[a] |= slots[b]
+        slots[b] = 0
+        lowest_leaf.append(a)
+        if n - step - 1 in wanted:
+            out[n - step - 1] = tuple(filter(None, slots))
     return out
 
 
@@ -194,7 +209,13 @@ def cut(dendrogram: Dendrogram, n_clusters: int, entities) -> tuple[tuple[str, .
     Entities are given in leaf order (the matrix order).  Clusters come back
     with sorted members and sorted among themselves.
     """
-    return cuts(dendrogram, [n_clusters], entities)[n_clusters]
+    entities = tuple(entities)
+    if len(entities) != dendrogram.n_leaves:
+        raise ClusteringError(f"expected {dendrogram.n_leaves} entities, got {len(entities)}")
+    partition = cuts(dendrogram, [n_clusters])[n_clusters]
+    return tuple(
+        sorted(tuple(sorted(entities[i] for i in members(mask))) for mask in partition)
+    )
 
 
 @dataclass(frozen=True)

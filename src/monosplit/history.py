@@ -204,7 +204,7 @@ def drop_oversized_commits(events: list[ChangeEvent], max_files: int = 100) -> l
 
 
 def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> list[LogicalCommit]:
-    """Merge chronological runs of same-author raw commits with gaps within the window.
+    """Bundle chronological runs of same-author raw commits with gaps within the window.
 
     The gap test is pairwise between adjacent commits of a run, so a long run can
     span more than one window.  A commit by another author breaks the run.

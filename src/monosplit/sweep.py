@@ -13,7 +13,6 @@ import numpy as np
 from .accesses import AccessModel
 from .clustering import (  # `cut` stays importable here: benchmark/tracing.py wraps it by this name
     ClusteringError,
-    Decomposition,
     agglomerate,
     agglomerate_stack,
     check_dissimilarity,
@@ -22,8 +21,8 @@ from .clustering import (  # `cut` stays importable here: benchmark/tracing.py w
     to_dissimilarity,
 )
 from .history import DevelopmentHistory
-from .metrics import MetricsError, MetricsRecord, evaluate
-from .similarity import SimilarityError, Weights, blend, measure_matrices
+from .metrics import MetricsError, MetricsRecord, Scorer, evaluate
+from .similarity import Weights, blend, measure_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -136,10 +135,11 @@ def _score_grid(
     weight_vectors: list[Weights],
     counts: list[int],
 ) -> tuple[list[ResultRow], list[SweepFailure]]:
-    entities = model.entities
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
-    cache: dict[tuple, MetricsRecord] = {}
+    scorer = Scorer(model, history.entity_authors(entity_files))
+    # each distinct partition is scored once; a domain error is kept as its message
+    scored: dict[tuple[int, ...], MetricsRecord | str] = {}
     capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))
     batch = np.empty((capacity, *stack[0].shape))
     for start in range(0, len(weight_vectors), capacity):
@@ -159,18 +159,20 @@ def _score_grid(
             dendrograms = agglomerate_stack(batch[: len(clustered)])
         for weights, dendrogram in zip(clustered, dendrograms):
             group = classify_group(weights)
-            partitions = cuts(dendrogram, counts, entities)
+            partitions = cuts(dendrogram, counts)
             for n in counts:
-                clusters = partitions[n]
-                try:
-                    record = cache.get(clusters)
-                    if record is None:
-                        decomposition = Decomposition(codebase, clusters, weights)
-                        record = evaluate(decomposition, model, history, entity_files)
-                        cache[clusters] = record
+                partition = partitions[n]
+                record = scored.get(partition)
+                if record is None:
+                    try:
+                        record = evaluate(scorer, partition)
+                    except MetricsError as exc:
+                        record = str(exc)
+                    scored[partition] = record
+                if isinstance(record, str):
+                    failures.append(SweepFailure(codebase, n, weights, record))
+                else:
                     rows.append(ResultRow(codebase, n, weights, group, record))
-                except (ClusteringError, MetricsError, SimilarityError) as exc:
-                    failures.append(SweepFailure(codebase, n, weights, str(exc)))
     return rows, failures
 
 

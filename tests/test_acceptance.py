@@ -14,6 +14,7 @@ import pytest
 from monosplit import (
     CodebaseStats,
     Decomposition,
+    Scorer,
     classify_group,
     cohesion,
     complexity,
@@ -116,7 +117,8 @@ def test_acceptance_3_metric_properties(capsys):
             decomposition = Decomposition.from_clusters(
                 "synth", random_partition(rng, model.entities, k)
             )
-            record = evaluate(decomposition, model, history, files)
+            scorer = Scorer(model, history.entity_authors(files))
+            record = evaluate(scorer, scorer.masks(decomposition))
             values = (
                 record.uniform_complexity,
                 record.cohesion,

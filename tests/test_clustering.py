@@ -19,7 +19,7 @@ from monosplit import (
     cut,
     to_dissimilarity,
 )
-from monosplit.clustering import Merge, agglomerate_stack, cuts
+from monosplit.clustering import agglomerate_stack, cuts, members
 
 from oracles import upgma_merges
 
@@ -62,6 +62,15 @@ def test_to_dissimilarity_is_symmetric_for_any_input():
     assert np.all(np.diag(dissimilarity) == 0.0)
 
 
+def _merge_triples(dendrogram):
+    return list(zip(dendrogram.left, dendrogram.right, dendrogram.height))
+
+
+def _names(partition, entities):
+    """A partition of member masks as clusters of entity names, in mask order."""
+    return tuple(tuple(entities[i] for i in members(mask)) for mask in partition)
+
+
 # ---------------------------------------------------------------- agglomerate
 
 
@@ -72,26 +81,22 @@ def test_two_pair_merge_sequence():
     matrix[0, 1] = matrix[1, 0] = 0.1
     dendrogram = agglomerate(matrix)
     assert dendrogram.n_leaves == 4
-    assert dendrogram.merges == (
-        Merge(0, 1, 0.1),
-        Merge(2, 3, 0.9),
-        Merge(4, 5, 0.9),
-    )
+    assert _merge_triples(dendrogram) == [(0, 1, 0.1), (2, 3, 0.9), (4, 5, 0.9)]
 
 
 def test_all_ties_merge_smallest_ids_first():
     matrix = np.full((6, 6), 0.5)
     np.fill_diagonal(matrix, 0.0)
     dendrogram = agglomerate(matrix)
-    pairs = [(m.left, m.right) for m in dendrogram.merges]
+    pairs = list(zip(dendrogram.left, dendrogram.right))
     assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
-    assert all(m.height == 0.5 for m in dendrogram.merges)
+    assert all(height == 0.5 for height in dendrogram.height)
 
 
 def test_single_leaf_dendrogram():
     dendrogram = agglomerate(np.zeros((1, 1)))
     assert dendrogram.n_leaves == 1
-    assert dendrogram.merges == ()
+    assert _merge_triples(dendrogram) == []
     assert cut(dendrogram, 1, ["only"]) == (("only",),)
 
 
@@ -106,11 +111,11 @@ def test_average_linkage_height_uses_cluster_sizes():
         ]
     )
     dendrogram = agglomerate(matrix)
-    assert dendrogram.merges[0] == Merge(0, 1, 0.1)
-    assert dendrogram.merges[1].left == 2
-    assert dendrogram.merges[1].right == 4
-    assert dendrogram.merges[1].height == pytest.approx(0.5)  # mean of 0.4 and 0.6
-    assert dendrogram.merges[2].height == pytest.approx(0.9)
+    assert _merge_triples(dendrogram)[0] == (0, 1, 0.1)
+    assert dendrogram.left[1] == 2
+    assert dendrogram.right[1] == 4
+    assert dendrogram.height[1] == pytest.approx(0.5)  # mean of 0.4 and 0.6
+    assert dendrogram.height[2] == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize(
@@ -141,9 +146,9 @@ def test_merges_match_direct_average_oracle(seed):
     matrix = _random_symmetric(rng, rng.randint(2, 9), distinct=True)
     dendrogram = agglomerate(matrix)
     expected = upgma_merges(matrix.tolist())
-    assert [(m.left, m.right) for m in dendrogram.merges] == [(a, b) for a, b, _ in expected]
-    for merge, (_, _, height) in zip(dendrogram.merges, expected):
-        assert merge.height == pytest.approx(height, abs=1e-12)
+    assert list(zip(dendrogram.left, dendrogram.right)) == [(a, b) for a, b, _ in expected]
+    for got, (_, _, height) in zip(dendrogram.height, expected):
+        assert got == pytest.approx(height, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -157,7 +162,7 @@ def test_tie_breaking_matches_oracle_on_coarse_values(seed):
             matrix[i, j] = matrix[j, i] = rng.choice([0.25, 0.5, 0.75, 1.0])
     dendrogram = agglomerate(matrix)
     expected = upgma_merges(matrix.tolist())
-    assert [(m.left, m.right) for m in dendrogram.merges] == [(a, b) for a, b, _ in expected]
+    assert list(zip(dendrogram.left, dendrogram.right)) == [(a, b) for a, b, _ in expected]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -184,16 +189,16 @@ def test_against_scipy_average_linkage(seed):
     matrix = _random_symmetric(rng, n, distinct=True)
     dendrogram = agglomerate(matrix)
     reference = linkage(squareform(matrix), method="average")
-    for merge, row in zip(dendrogram.merges, reference):
-        assert merge.height == pytest.approx(float(row[2]), abs=1e-12)
-        assert {merge.left, merge.right} == {int(row[0]), int(row[1])}
+    for (left, right, height), row in zip(_merge_triples(dendrogram), reference):
+        assert height == pytest.approx(float(row[2]), abs=1e-12)
+        assert {left, right} == {int(row[0]), int(row[1])}
     entities = [f"E{i}" for i in range(n)]
     for k in range(1, n + 1):
         labels = fcluster(reference, t=k, criterion="maxclust")
         expected = {}
         for entity, label in zip(entities, labels):
             expected.setdefault(label, []).append(entity)
-        canonical = tuple(sorted(tuple(sorted(members)) for members in expected.values()))
+        canonical = tuple(sorted(tuple(sorted(group)) for group in expected.values()))
         assert cut(dendrogram, k, entities) == canonical
 
 
@@ -251,7 +256,7 @@ def dissimilarity_matrices(draw):
 @given(dissimilarity_matrices())
 def test_heights_never_decrease(matrix):
     dendrogram = agglomerate(matrix)
-    heights = [m.height for m in dendrogram.merges]
+    heights = dendrogram.height
     for earlier, later in zip(heights, heights[1:]):
         assert later >= earlier - 1e-12
 
@@ -262,11 +267,11 @@ def test_every_cut_is_a_partition_and_cuts_nest(matrix):
     n = matrix.shape[0]
     entities = [f"E{i}" for i in range(n)]
     dendrogram = agglomerate(matrix)
-    every = cuts(dendrogram, range(1, n + 1), entities)
+    every = cuts(dendrogram, range(1, n + 1))
     previous = None
     for k in range(n, 0, -1):
         clusters = cut(dendrogram, k, entities)
-        assert every[k] == clusters
+        assert _names(every[k], entities) == clusters
         assert len(clusters) == k
         flattened = sorted(itertools.chain.from_iterable(clusters))
         assert flattened == sorted(entities)
@@ -274,9 +279,9 @@ def test_every_cut_is_a_partition_and_cuts_nest(matrix):
             # moving from k+1 to k clusters only ever fuses clusters
             fine = {frozenset(c) for c in previous}
             for coarse in clusters:
-                members = set(coarse)
-                parts = [c for c in fine if c <= members]
-                assert set().union(*parts) == members
+                merged = set(coarse)
+                parts = [c for c in fine if c <= merged]
+                assert set().union(*parts) == merged
         previous = clusters
 
 
@@ -323,8 +328,6 @@ def quantised_ultrametric_stacks(draw):
     return stack
 
 
-def _merge_triples(dendrogram):
-    return [(m.left, m.right, m.height) for m in dendrogram.merges]
 
 
 @settings(deadline=None, max_examples=150)
@@ -334,6 +337,20 @@ def test_stacked_upgma_matches_agglomerate_bit_for_bit(stack):
     assert len(dendrograms) == len(stack)
     for matrix, dendrogram in zip(stack, dendrograms):
         assert dendrogram == agglomerate(matrix)
+
+
+@settings(deadline=None, max_examples=100)
+@given(tie_heavy_stacks())
+def test_cut_masks_match_sorted_names(stack):
+    """Over sorted leaves, each mask partition names the clusters `cut` returns, in its order."""
+    n = stack.shape[1]
+    entities = [f"E{i:02d}" for i in range(n)]
+    scanned = [agglomerate(matrix) for matrix in stack]
+    for dendrogram in scanned + agglomerate_stack(stack.copy()):
+        every = cuts(dendrogram, range(1, n + 1))
+        assert sorted(every) == list(range(1, n + 1))
+        for k, partition in every.items():
+            assert _names(partition, entities) == cut(dendrogram, k, entities)
 
 
 @settings(deadline=None, max_examples=150)

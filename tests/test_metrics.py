@@ -9,6 +9,7 @@ from monosplit import (
     Decomposition,
     DevelopmentHistory,
     MetricsError,
+    Scorer,
     cohesion,
     combined_score,
     complexity,
@@ -30,6 +31,11 @@ def _model(payload):
 
 def _split(clusters):
     return Decomposition.from_clusters("demo", clusters)
+
+
+def _evaluate(decomposition, model, history, files):
+    scorer = Scorer(model, history.entity_authors(files))
+    return evaluate(scorer, scorer.masks(decomposition))
 
 
 CROSS_MODEL = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["A", "W"]]})
@@ -252,7 +258,7 @@ def test_evaluate_bundles_the_five_numbers():
     commits, files = random_commits(rng, model.entities)
     history = commits_to_history(commits)
     decomposition = _split(random_partition(rng, model.entities, 2))
-    record = evaluate(decomposition, model, history, files)
+    record = _evaluate(decomposition, model, history, files)
     assert record.uniform_complexity == uniform_complexity(decomposition, model)
     assert record.cohesion == cohesion(decomposition, model)
     assert record.coupling == coupling(decomposition, model)
@@ -272,7 +278,7 @@ def test_range_and_boundary_properties(seed):
     n = len(model.entities)
     for k in range(1, n + 1):
         decomposition = _split(random_partition(rng, model.entities, k))
-        record = evaluate(decomposition, model, history, files)
+        record = _evaluate(decomposition, model, history, files)
         for value in (
             record.uniform_complexity,
             record.cohesion,

@@ -7,6 +7,7 @@ import pytest
 
 from monosplit import (
     Decomposition,
+    Scorer,
     Weights,
     agglomerate,
     build_similarity_matrix,
@@ -56,16 +57,67 @@ def _oracle_record(clusters, traces, files, history):
     return (uniform, cohesion, coupling, team, combined)
 
 
+def _benchmark_model(seed, n_entities, n_functionalities, trace_len):
+    rng = random.Random(f"metrics-scale/{seed}")
+    traces = fixed_length_traces(rng, n_entities, n_functionalities, trace_len)
+    model = to_model(traces)
+    commits, files = random_commits(rng, model.entities, n_authors=8, extra_commits=4 * n_entities)
+    return rng, traces, model, commits_to_history(commits), files
+
+
+def _chained_partitions(rng, entities, steps):
+    """Partitions that each differ from the one before by merging two clusters or splitting one."""
+    clusters = [list(c) for c in random_partition(rng, entities, rng.randint(3, 10))]
+    out = [clusters]
+    for _ in range(steps):
+        clusters = [list(c) for c in clusters]
+        splittable = [i for i, c in enumerate(clusters) if len(c) > 1]
+        if len(clusters) > 1 and (rng.random() < 0.5 or not splittable):
+            a, b = sorted(rng.sample(range(len(clusters)), 2))
+            merged = clusters.pop(b) + clusters.pop(a)
+            clusters.insert(rng.randint(0, len(clusters)), merged)
+        else:
+            members = clusters.pop(rng.choice(splittable))
+            rng.shuffle(members)
+            at = rng.randint(1, len(members) - 1)
+            clusters += [members[:at], members[at:]]
+        out.append(clusters)
+    return out
+
+
+@pytest.mark.parametrize(
+    "seed, n_entities, n_functionalities, trace_len, steps",
+    [(4, 24, 30, 10, 40), (5, 160, 8, 22, 8)],
+)
+def test_memo_keeps_every_bit(seed, n_entities, n_functionalities, trace_len, steps):
+    """One scorer over partitions that share clusters gives a fresh scorer's records exactly."""
+    rng, traces, model, history, files = _benchmark_model(
+        seed, n_entities, n_functionalities, trace_len
+    )
+    # a member no trace mentions rides along in every partition
+    partitions = _chained_partitions(rng, [*model.entities, "Ghost"], steps)
+    occurrences = [frozenset(c) for clusters in partitions for c in clusters]
+    assert len(set(occurrences)) < len(occurrences)
+    shared = Scorer(model, history.entity_authors(files))
+    for clusters in partitions:
+        decomposition = Decomposition.from_clusters("scale", clusters)
+        record = evaluate(shared, shared.masks(decomposition))
+        fresh = Scorer(model, history.entity_authors(files))
+        assert record == evaluate(fresh, fresh.masks(decomposition))
+        got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
+        want = _oracle_record([list(c) for c in decomposition.clusters], traces, files, history)
+        for name, g, w in zip(("uniform", "cohesion", "coupling", "tsr", "combined"), got, want):
+            assert abs(g - w) <= 1e-12, f"k={len(clusters)} {name}: {g!r} != {w!r}"
+
+
 @pytest.mark.parametrize(
     "seed, n_entities, n_functionalities, trace_len",
     [(1, 24, 30, 10), (2, 24, 30, 10), (3, 160, 8, 22)],
 )
 def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functionalities, trace_len):
-    rng = random.Random(f"metrics-scale/{seed}")
-    traces = fixed_length_traces(rng, n_entities, n_functionalities, trace_len)
-    model = to_model(traces)
-    commits, files = random_commits(rng, model.entities, n_authors=8, extra_commits=4 * n_entities)
-    history = commits_to_history(commits)
+    rng, traces, model, history, files = _benchmark_model(
+        seed, n_entities, n_functionalities, trace_len
+    )
     partitions = _partitions(rng, model.entities)
     # a member no trace mentions still counts toward its cluster's size
     ghost = [list(c) for c in random_partition(rng, model.entities, 4)]
@@ -74,7 +126,8 @@ def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functio
     for clusters in partitions:
         decomposition = Decomposition.from_clusters("scale", clusters)
         canonical = [list(c) for c in decomposition.clusters]
-        record = evaluate(decomposition, model, history, files)
+        scorer = Scorer(model, history.entity_authors(files))
+        record = evaluate(scorer, scorer.masks(decomposition))
         got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
         want = _oracle_record(canonical, traces, files, history)
         for name, g, w in zip(("uniform", "cohesion", "coupling", "tsr", "combined"), got, want):
@@ -83,14 +136,17 @@ def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functio
 
 # Grid step and SHA-256 of the results CSV per (seed, entities, functionalities).
 # The first two were taken before the metrics moved to incidence matrices; the
-# third, before the sweep clustered its weight vectors in stacks.  At 160
-# entities the 21 vectors of the step-50 grid are clustered as stacks of 10, 10
-# and 1.  Re-take them when the blend changes (ROADMAP item 1): a different
-# summation order can tie-break UPGMA merges differently and change the rows.
+# third, before the sweep clustered its weight vectors in stacks; the fourth,
+# on the default step-10 grid, before partitions went to the metrics as member
+# masks.  At 160 entities the 21 vectors of the step-50 grid are clustered as
+# stacks of 10, 10 and 1.  Re-take them when the blend or the linkage changes:
+# a different summation order can tie-break UPGMA merges differently and
+# change the rows.
 SWEEP_SHA256 = {
     (11, 12, 5): (25, "de9b1a2b79bc2b06f0cc7384f60ca9f3ec342fea62fc7027dc67ba9f2ab411b0"),
     (12, 24, 10): (25, "5f231a843c1154f3e9e8ddad5d4b88756aa3fcdba1cc1109a8dbd94216f2e552"),
     (13, 160, 8): (50, "257e0afc5f901e45a4c23511d786244c89eb376e14e4b3b1aaa53cdbc9d5839d"),
+    (14, 25, 10): (10, "237de4d9f04ff4166491a4980f301c961b6a7a8c74bfe8354460c206f638c714"),
 }
 
 

@@ -11,6 +11,7 @@ from monosplit import (
     MetricsError,
     MetricsRecord,
     ResultRow,
+    Scorer,
     SweepError,
     Weights,
     agglomerate,
@@ -25,7 +26,7 @@ from monosplit import (
     to_dissimilarity,
     write_results_csv,
 )
-from monosplit.clustering import Decomposition
+from monosplit.clustering import Decomposition, members
 from monosplit.sweep import (
     AUTHORSHIP_ONLY,
     COMBINED,
@@ -185,19 +186,28 @@ def test_sweep_metrics_are_in_range(small_sweep):
             assert 0.0 <= value <= 1.0
 
 
-def _single_runs(model, history, files, weights, counts, codebase):
-    """Metrics of the partitions `decompose` returns for these weights, by cluster count."""
+def _decompose_clusters(model, history, files, weights, counts):
+    """The clusters `decompose` returns for these weights, by cluster count."""
     matrix = build_similarity_matrix(model, history, files, weights)
     dendrogram = agglomerate(to_dissimilarity(matrix.values))
-    return {
-        n: evaluate(
-            Decomposition(codebase, cut(dendrogram, n, matrix.entities), weights),
-            model,
-            history,
-            files,
-        )
-        for n in counts
-    }
+    return {n: cut(dendrogram, n, matrix.entities) for n in counts}
+
+
+def _single_runs(model, history, files, weights, counts, codebase):
+    """Metrics of the partitions `decompose` returns for these weights, by cluster count.
+
+    Each partition is scored by a fresh scorer, so no memo is shared with the sweep's.
+    """
+    out = {}
+    for n, clusters in _decompose_clusters(model, history, files, weights, counts).items():
+        scorer = Scorer(model, history.entity_authors(files))
+        partition = scorer.masks(Decomposition(codebase, clusters, weights))
+        out[n] = evaluate(scorer, partition)
+    return out
+
+
+def _names(partition, entities):
+    return tuple(tuple(entities[i] for i in members(mask)) for mask in partition)
 
 
 @pytest.mark.parametrize(
@@ -265,31 +275,62 @@ def test_sweep_rejects_bad_parallelism(small_sweep):
         run_sweep(model, history, files, "demo", parallelism=0)
 
 
-def _poison_evaluate(monkeypatch, poisoned, error):
+def _poison_evaluate(monkeypatch, model, poisoned, error):
+    """Make the sweep's `evaluate` raise `error` on the partition of these clusters."""
     import monosplit.sweep as sweep_module
 
     real_evaluate = sweep_module.evaluate
 
-    def flaky_evaluate(decomposition, *args, **kwargs):
-        if decomposition.weights == poisoned:
+    def flaky_evaluate(scorer, partition):
+        if _names(partition, model.entities) == poisoned:
             raise error
-        return real_evaluate(decomposition, *args, **kwargs)
+        return real_evaluate(scorer, partition)
 
     monkeypatch.setattr(sweep_module, "evaluate", flaky_evaluate)
 
 
-def test_row_failures_are_collected_not_raised(monkeypatch, caplog):
-    model, history, files = _setup(42)
-    poisoned = Weights(0, 0, 0, 0, 0, 100)
-    _poison_evaluate(monkeypatch, poisoned, MetricsError("injected scoring fault"))
+def test_row_failures_are_collected_not_raised(monkeypatch, caplog, small_sweep):
+    model, history, files, clean_rows, _ = small_sweep
+    partitions = {
+        weights: _decompose_clusters(model, history, files, weights, [3])[3]
+        for weights in enumerate_weights(10)
+    }
+    poisoned = partitions[Weights(0, 0, 0, 0, 0, 100)]
+    dropped = [weights for weights, clusters in partitions.items() if clusters == poisoned]
+    assert 1 < len(dropped) < len(partitions)
+    _poison_evaluate(monkeypatch, model, poisoned, MetricsError("injected scoring fault"))
     with caplog.at_level(logging.WARNING, logger="monosplit.sweep"):
         rows, failures = run_sweep(model, history, files, "demo")
-    assert len(rows) == 3002
-    assert [f.weights for f in failures] == [poisoned]
-    assert failures[0].n_clusters == 3
-    assert "injected scoring fault" in failures[0].error
-    assert any("dropped" in record.message for record in caplog.records)
-    assert all(row.weights != poisoned for row in rows)
+    assert [(f.weights, f.n_clusters) for f in failures] == [(w, 3) for w in dropped]
+    assert all("injected scoring fault" in f.error for f in failures)
+    dropped_logs = [record for record in caplog.records if "dropped" in record.message]
+    assert len(dropped_logs) == len(dropped)
+    assert rows == [row for row in clean_rows if partitions[row.weights] != poisoned]
+
+
+def test_each_distinct_partition_is_evaluated_once(monkeypatch):
+    import monosplit.sweep as sweep_module
+
+    model, history, files = _setup(7, n_entities=10)
+    counts = cluster_counts(len(model.entities))
+    real_evaluate = sweep_module.evaluate
+    scored = []
+
+    def counting_evaluate(scorer, partition):
+        scored.append(_names(partition, model.entities))
+        return real_evaluate(scorer, partition)
+
+    monkeypatch.setattr(sweep_module, "evaluate", counting_evaluate)
+    rows, failures = run_sweep(model, history, files, "wide", step=20)
+    assert failures == []
+    assert len(rows) == len(enumerate_weights(20)) * len(counts)
+    distinct = {
+        clusters
+        for weights in enumerate_weights(20)
+        for clusters in _decompose_clusters(model, history, files, weights, counts).values()
+    }
+    assert len(scored) == len(set(scored))
+    assert set(scored) == distinct
 
 
 def test_bad_matrix_drops_only_its_own_rows(monkeypatch, small_sweep):
@@ -314,7 +355,8 @@ def test_bad_matrix_drops_only_its_own_rows(monkeypatch, small_sweep):
 
 def test_programming_errors_are_raised_not_collected(monkeypatch):
     model, history, files = _setup(42)
-    _poison_evaluate(monkeypatch, Weights(0, 0, 0, 0, 0, 100), RuntimeError("injected bug"))
+    poisoned = _decompose_clusters(model, history, files, Weights(0, 0, 0, 0, 0, 100), [3])[3]
+    _poison_evaluate(monkeypatch, model, poisoned, RuntimeError("injected bug"))
     with pytest.raises(RuntimeError, match="injected bug"):
         run_sweep(model, history, files, "demo")
 
