@@ -69,40 +69,42 @@ def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
 
 
 def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
-    """UPGMA that scans the whole distance matrix for the closest pair at every merge."""
+    """UPGMA that takes every row's minimum at every merge, on an n x n slot matrix.
+
+    Each slot holds one live cluster, and `ids` maps slot to cluster id; the
+    merged cluster takes the lower of the pair's slots, and the other slot's
+    row and column go to infinity.  Of the rows whose minimum is the smallest,
+    the one with the smallest id is the pair's first cluster; the smallest id
+    at that distance in its row is the second.  That is the pair with the
+    smallest (min id, max id), without listing the ties.
+    """
     n = matrix.shape[0]
-    total = 2 * n - 1
-    work = np.full((total, total), np.inf)
-    work[:n, :n] = matrix
+    work = matrix.copy()
     np.fill_diagonal(work, np.inf)
-    sizes = np.zeros(total, dtype=int)
-    sizes[:n] = 1
-    active = np.zeros(total, dtype=bool)
-    active[:n] = True
+    ids = np.arange(n)
+    sizes = [1] * n
+    no_id = 2 * n
+    lowest = np.empty(n)
     lefts, rights, heights = [], [], []
     for step in range(n - 1):
-        new_id = n + step
-        view = work[:new_id, :new_id]
-        flat = int(np.argmin(view))  # first minimum in row-major order = smallest id pair
-        left, right = divmod(flat, new_id)
-        if left > right:
-            left, right = right, left
-        height = float(work[left, right])
-        active[left] = active[right] = False
-        others = np.nonzero(active[:new_id])[0]
-        if others.size:
-            merged = (
-                sizes[left] * work[others, left] + sizes[right] * work[others, right]
-            ) / (sizes[left] + sizes[right])
-            work[others, new_id] = merged
-            work[new_id, others] = merged
-        sizes[new_id] = sizes[left] + sizes[right]
-        active[new_id] = True
-        work[left, :] = work[:, left] = np.inf
-        work[right, :] = work[:, right] = np.inf
-        lefts.append(left)
-        rights.append(right)
-        heights.append(height)
+        work.min(axis=1, out=lowest)
+        height = lowest.min()
+        first = int(np.where(lowest == height, ids, no_id).argmin())
+        row = work[first]
+        second = int(np.where(row == height, ids, no_id).argmin())
+        first_size, second_size = sizes[first], sizes[second]
+        merged = first_size * row
+        merged += second_size * work[second]
+        merged /= first_size + second_size
+        keep, gone = min(first, second), max(first, second)
+        merged[keep] = merged[gone] = np.inf
+        work[keep] = work[:, keep] = merged
+        work[gone] = work[:, gone] = np.inf
+        lefts.append(int(ids[first]))
+        rights.append(int(ids[second]))
+        heights.append(float(height))
+        ids[keep] = n + step
+        sizes[keep] = first_size + second_size
     return Dendrogram(n, tuple(lefts), tuple(rights), tuple(heights))
 
 
@@ -117,7 +119,7 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     Each of a matrix's n slots holds one live cluster.  Row r caches the slot of
     its nearest live cluster, ties going to the smallest cluster id, and the
     distance to it.  The row with the smallest id among those at the smallest
-    cached distance, and its cached neighbour, are the pair the full scan
+    cached distance, and its cached neighbour, are the pair `agglomerate`
     picks.  The merged cluster takes the lower of the two slots.  Only rows
     whose neighbour was merged are scanned again; another row moves to the
     merged cluster only when it is strictly closer, because the merged cluster

@@ -201,9 +201,19 @@ class SimilarityMatrix:
     values: np.ndarray  # square, [0, 1], unit diagonal
 
     def to_csv(self) -> str:
+        """Header row of entities, then one row per entity with its cells to six decimals.
+
+        Blended matrices hold few distinct values, so each distinct float64 bit
+        pattern is formatted once and the rows are joined from the looked-up
+        strings.  Keying on bits, not on float equality, keeps -0.0 apart from
+        0.0, so every cell reads as its own `f"{v:.6f}"`.
+        """
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
+        cells = text[inverse.reshape(values.shape)].tolist()
         lines = ["entity," + ",".join(self.entities)]
-        for i, entity in enumerate(self.entities):
-            lines.append(entity + "," + ",".join(f"{v:.6f}" for v in self.values[i]))
+        lines.extend(entity + "," + ",".join(row) for entity, row in zip(self.entities, cells))
         return "\n".join(lines) + "\n"
 
 

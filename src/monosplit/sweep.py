@@ -153,7 +153,9 @@ def _score_grid(
             clustered.append(weights)
         if not clustered:
             continue
-        if len(clustered) == 1:  # the full scan beats the stacked kernel on one matrix
+        if len(clustered) == 1:
+            # on one matrix the slot kernel beats the stacked one: 0.6 against
+            # 2.2 ms at 24 entities, 6.3-7.4 against 15.6-16.1 ms at 160
             dendrograms = [agglomerate(batch[0])]
         else:
             dendrograms = agglomerate_stack(batch[: len(clustered)])
@@ -220,7 +222,8 @@ def run_sweep(
             ):
                 rows.extend(part_rows)
                 failures.extend(part_failures)
-    rows.sort(key=lambda r: (r.weights.as_tuple(), r.n_clusters))
+    # rows come out of each chunk in (weights, count) order and the chunks are
+    # in grid order; a stack's clustering failures come before its metric ones
     failures.sort(key=lambda f: (f.weights.as_tuple(), f.n_clusters))
     for failure in failures:
         logger.warning(

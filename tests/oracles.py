@@ -1,13 +1,16 @@
 """Independent brute-force reference implementations for cross-checking the package.
 
-Everything here works on plain dicts/lists with naive loops, no shared code with
-the package internals.  Traces are dicts name -> [(entity, mode), ...]; commits
-are lists of (author, set_of_files).
+Everything here shares no code with the package internals, and all but
+`scan_upgma` works on plain dicts/lists with naive loops; that one is the
+package's former numpy clustering kernel, kept to referee the current one bit
+for bit.  Traces are dicts name -> [(entity, mode), ...]; commits are lists of
+(author, set_of_files).
 """
 
 import math
 
 import mpmath
+import numpy as np
 
 
 def funct_set(traces, entity, mode):
@@ -248,3 +251,47 @@ def upgma_merges(matrix):
         merges.append((a, b, distance))
         next_id += 1
     return merges
+
+
+def scan_upgma(matrix):
+    """The full-scan UPGMA kernel the package used before its slot kernel, kept as a referee.
+
+    It scans a (2n-1) x (2n-1) matrix indexed by cluster id for its first
+    minimum in row-major order, which is the pair with the smallest
+    (min id, max id), and updates distances by (sL*dL + sR*dR)/(sL + sR).
+    Returns [(left_id, right_id, height)] like `upgma_merges`.
+    """
+    n = matrix.shape[0]
+    total = 2 * n - 1
+    work = np.full((total, total), np.inf)
+    work[:n, :n] = matrix
+    np.fill_diagonal(work, np.inf)
+    sizes = np.zeros(total, dtype=int)
+    sizes[:n] = 1
+    active = np.zeros(total, dtype=bool)
+    active[:n] = True
+    lefts, rights, heights = [], [], []
+    for step in range(n - 1):
+        new_id = n + step
+        view = work[:new_id, :new_id]
+        flat = int(np.argmin(view))  # first minimum in row-major order = smallest id pair
+        left, right = divmod(flat, new_id)
+        if left > right:
+            left, right = right, left
+        height = float(work[left, right])
+        active[left] = active[right] = False
+        others = np.nonzero(active[:new_id])[0]
+        if others.size:
+            merged = (
+                sizes[left] * work[others, left] + sizes[right] * work[others, right]
+            ) / (sizes[left] + sizes[right])
+            work[others, new_id] = merged
+            work[new_id, others] = merged
+        sizes[new_id] = sizes[left] + sizes[right]
+        active[new_id] = True
+        work[left, :] = work[:, left] = np.inf
+        work[right, :] = work[:, right] = np.inf
+        lefts.append(left)
+        rights.append(right)
+        heights.append(height)
+    return list(zip(lefts, rights, heights))

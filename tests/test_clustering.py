@@ -17,11 +17,14 @@ from monosplit import (
     Weights,
     agglomerate,
     cut,
+    enumerate_weights,
     to_dissimilarity,
 )
 from monosplit.clustering import agglomerate_stack, cuts, members
+from monosplit.similarity import blend, measure_matrices
 
-from oracles import upgma_merges
+from oracles import scan_upgma, upgma_merges
+from synth import commits_to_history, random_commits, random_traces, to_model
 
 
 def _square(values):
@@ -200,6 +203,38 @@ def test_against_scipy_average_linkage(seed):
             expected.setdefault(label, []).append(entity)
         canonical = tuple(sorted(tuple(sorted(group)) for group in expected.values()))
         assert cut(dendrogram, k, entities) == canonical
+
+
+# ------------------------------------------------- slot kernel against full scan
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """A symmetric n x n matrix, n in 1..40, with entries in quarters or in thirds."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, levels + 1, size=(n, n)) / levels, 1)
+    return upper + upper.T
+
+
+@settings(deadline=None, max_examples=200)
+@given(tie_heavy_matrices())
+def test_slot_kernel_matches_full_scan_bit_for_bit(matrix):
+    assert _merge_triples(agglomerate(matrix)) == scan_upgma(matrix)
+
+
+def test_slot_kernel_matches_full_scan_on_step_20_grid():
+    rng = random.Random(25)
+    model = to_model(random_traces(rng, 25, 10, max_extra=12))
+    commits, files = random_commits(rng, model.entities, extra_commits=4 * 25)
+    stack = measure_matrices(model, commits_to_history(commits), files, include_history=True)
+    mismatched = []
+    for weights in enumerate_weights(20):
+        matrix = to_dissimilarity(blend(stack, weights))
+        if _merge_triples(agglomerate(matrix)) != scan_upgma(matrix):
+            mismatched.append(weights.as_tuple())
+    assert mismatched == []
 
 
 # ---------------------------------------------------------------------- cut

@@ -164,33 +164,55 @@ def test_sweep_csv_is_byte_identical(seed, n_entities, n_functionalities):
 
 
 # SHA-256 of the decompose path's matrix CSV and of its 5-cluster decomposition
-# JSON per weight vector, on a seeded 24-entity model; taken before the
-# sequence measure moved onto the step-count matrix.
+# JSON per (entities, weight vector).  The 24-entity pins, on a seeded
+# random-trace model, were taken before the sequence measure moved onto the
+# step-count matrix.  The 160-entity pins, on a model of the benchmark's
+# sweep-wide shape (8 functionalities of 22 accesses), were taken before the
+# matrix CSV formatted each distinct value once and `agglomerate` moved to the
+# slot kernel; (100, 0, 0, 0, 0, 0) blends to three distinct values there, so
+# nearly every merge is a tie.
 DECOMPOSE_SHA256 = {
-    (0, 0, 0, 100, 0, 0): (
+    (24, (0, 0, 0, 100, 0, 0)): (
         "3f6a673f9cb4521fb5e70783f0209cdbb168370103bda41729b7d1a4db89a8f3",
         "6a979f5b58a89a94c5a57af34849a8d6e2a68822590880da62c40a9a9df23a8e",
     ),
-    (100, 0, 0, 0, 0, 0): (
+    (24, (100, 0, 0, 0, 0, 0)): (
         "2d299ad92c618acef0cda6520b6cab4ccc9291a0d9978f522c87f6a29fae7d76",
         "d021cc6fcf1ec7f5f649437324a0570b26206f684094bdc82a130be32e1d731e",
     ),
-    (20, 15, 15, 10, 20, 20): (
+    (24, (20, 15, 15, 10, 20, 20)): (
         "ffce553a372a88a0af6d71c454a6eb72263bebf2ec34526e30a05f4503c3ad57",
         "61c7bd86cb6e0e9d8fa3927f3315fa4cd9d02a7694086342db3b6826249973fe",
+    ),
+    (160, (100, 0, 0, 0, 0, 0)): (
+        "316a028013f64c65ac8de1589cd85caab9d189f41fa71c01e233755b1cc0f10e",
+        "92b847d4ecaccbc20e8badc3b7a89c92881694c7e49f5da8c6da209b57d22e55",
+    ),
+    (160, (20, 15, 15, 10, 20, 20)): (
+        "79e34fdccf81439059a4277888f45698705ab72974cfac53b0b751499f3c843b",
+        "65280fb12d8859367b905f21f49bc811f8f891b2d2cd01d9262cd5a11e4dcfc1",
     ),
 }
 
 
-@pytest.mark.parametrize("weights", sorted(DECOMPOSE_SHA256))
-def test_decompose_outputs_are_byte_identical(weights):
-    matrix_sha, decomposition_sha = DECOMPOSE_SHA256[weights]
-    rng = random.Random(21)
-    model = to_model(random_traces(rng, 24, 10, max_extra=12))
-    commits, files = random_commits(rng, model.entities, extra_commits=4 * 24)
-    history = commits_to_history(commits)
+def _check_decompose_pins(n_entities, weights, model, history, files):
+    matrix_sha, decomposition_sha = DECOMPOSE_SHA256[(n_entities, weights)]
     matrix = build_similarity_matrix(model, history, files, Weights(*weights))
     clusters = cut(agglomerate(to_dissimilarity(matrix.values)), 5, matrix.entities)
     decomposition = Decomposition("synth", clusters, Weights(*weights))
     assert hashlib.sha256(matrix.to_csv().encode()).hexdigest() == matrix_sha
     assert hashlib.sha256(decomposition.serialize().encode()).hexdigest() == decomposition_sha
+
+
+@pytest.mark.parametrize("weights", sorted(w for n, w in DECOMPOSE_SHA256 if n == 24))
+def test_decompose_outputs_are_byte_identical(weights):
+    rng = random.Random(21)
+    model = to_model(random_traces(rng, 24, 10, max_extra=12))
+    commits, files = random_commits(rng, model.entities, extra_commits=4 * 24)
+    _check_decompose_pins(24, weights, model, commits_to_history(commits), files)
+
+
+@pytest.mark.parametrize("weights", sorted(w for n, w in DECOMPOSE_SHA256 if n == 160))
+def test_decompose_outputs_are_byte_identical_at_160_entities(weights):
+    _, _, model, history, files = _benchmark_model(6, 160, 8, 22)
+    _check_decompose_pins(160, weights, model, history, files)

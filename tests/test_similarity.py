@@ -1,6 +1,7 @@
 """Six similarity measures, entity-file mapping, and matrix blending."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from monosplit import (
     SimilarityError,
+    SimilarityMatrix,
     Weights,
     build_similarity_matrix,
     load_access_model,
@@ -206,6 +208,49 @@ def test_matrix_csv_format():
     assert lines[1] == "A,1.000000,0.583333"
     assert lines[2] == "B,1.000000,1.000000"
     assert len(lines) == 3
+
+
+def _per_cell_csv(matrix):
+    """The matrix CSV with one f-string per cell, the writer's reference."""
+    lines = ["entity," + ",".join(matrix.entities)]
+    for i, entity in enumerate(matrix.entities):
+        lines.append(entity + "," + ",".join(f"{v:.6f}" for v in matrix.values[i]))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_CELLS = [0.0, -0.0, 1.0, 5e-7, -5e-7, 5e-324, -5e-324, 2.2250738585072014e-308]
+SPECIAL_CELLS += [math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def rounding_boundaries(draw):
+    """A half-way point of the sixth decimal, or its float neighbour on either side."""
+    value = (draw(st.integers(-(10**6), 10**6)) + 0.5) / 1e6
+    toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+    return value if toward is None else float(np.nextafter(value, toward))
+
+
+@st.composite
+def float_matrices(draw):
+    """Square float64 matrices, n in 0..8: mixed cells, one repeated cell, or all cells distinct."""
+    n = draw(st.integers(0, 8))
+    cells = st.one_of(st.sampled_from(SPECIAL_CELLS), rounding_boundaries(), st.floats(width=64))
+    layout = draw(st.sampled_from(["mixed", "equal", "distinct"]))
+    if layout == "mixed":
+        values = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    elif layout == "equal":
+        values = [draw(cells)] * (n * n)
+    else:
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=n * n, max_size=n * n, unique=True))
+    matrix = np.array(values, dtype=np.float64).reshape(n, n)
+    return matrix.T if draw(st.booleans()) else matrix  # the writer must not rely on C order
+
+
+@settings(deadline=None, max_examples=200)
+@given(float_matrices())
+def test_matrix_csv_formats_every_cell_as_its_own_f_string(values):
+    matrix = SimilarityMatrix(tuple(f"E{i}" for i in range(len(values))), values)
+    assert matrix.to_csv() == _per_cell_csv(matrix)
 
 
 def _random_setup(seed, n_entities=6):

@@ -308,6 +308,27 @@ def test_row_failures_are_collected_not_raised(monkeypatch, caplog, small_sweep)
     assert rows == [row for row in clean_rows if partitions[row.weights] != poisoned]
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_rows_come_out_in_grid_order_with_failures(monkeypatch, parallelism):
+    """Rows and failures are in (weights, count) order as emitted, with no re-sort of the rows."""
+    model, history, files = _setup(7, n_entities=10)
+    counts = cluster_counts(len(model.entities))
+    grid = enumerate_weights(20)
+    # this 4-cluster partition recurs across both halves of the grid, so in both workers
+    poisoned = _decompose_clusters(model, history, files, Weights(0, 20, 20, 0, 0, 60), [4])[4]
+    _poison_evaluate(monkeypatch, model, poisoned, MetricsError("injected scoring fault"))
+    rows, failures = run_sweep(model, history, files, "order", step=20, parallelism=parallelism)
+    row_keys = [(row.weights.as_tuple(), row.n_clusters) for row in rows]
+    failure_keys = [(f.weights.as_tuple(), f.n_clusters) for f in failures]
+    halves = {grid.index(f.weights) < len(grid) // 2 for f in failures}
+    assert halves == {True, False}
+    assert row_keys == sorted(row_keys)
+    assert failure_keys == sorted(failure_keys)
+    assert sorted(row_keys + failure_keys) == [
+        (weights.as_tuple(), n) for weights in grid for n in counts
+    ]
+
+
 def test_each_distinct_partition_is_evaluated_once(monkeypatch):
     import monosplit.sweep as sweep_module
 
