@@ -7,7 +7,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .sweep import GROUPS, ResultRow
 
@@ -42,6 +41,9 @@ class WelchResult:
 
 def welch_test(sample_a, sample_b) -> WelchResult:
     """Welch's unequal-variance t-test, one-sided for mean(a) greater than mean(b)."""
+    # imported here: scipy.special takes longer to load than any command takes to run
+    from scipy.special import stdtr
+
     a = [float(x) for x in sample_a]
     b = [float(x) for x in sample_b]
     if len(a) < 2 or len(b) < 2:

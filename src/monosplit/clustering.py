@@ -46,12 +46,15 @@ def to_dissimilarity(values: np.ndarray) -> np.ndarray:
 
 
 def check_dissimilarity(dissimilarity) -> np.ndarray:
-    """The matrix as floats, once it is square, non-empty, symmetric and zero on the diagonal."""
+    """The matrix as floats, once it is square, non-empty, finite, symmetric, zero on the diagonal."""
     matrix = np.asarray(dissimilarity, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ClusteringError("dissimilarity matrix must be square")
     if matrix.shape[0] == 0:
         raise ClusteringError("empty dissimilarity matrix")
+    if not np.isfinite(matrix).all():
+        # an infinite distance ties with the kernels' spent slots: a cluster would merge with itself
+        raise ClusteringError("dissimilarity matrix must be finite")
     if not np.array_equal(matrix, matrix.T):
         raise ClusteringError("dissimilarity matrix must be symmetric")
     if np.any(np.diag(matrix) != 0):

@@ -8,6 +8,7 @@ import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -250,6 +251,14 @@ class EntityAuthors:
     masks: dict[str, int]  # every entity of the mapping -> its row of EA as bits, column j at bit j
 
 
+def _json_block(items: list[str], depth: int, brackets: str) -> str:
+    """Encoded `items` in `brackets`, as `json.dumps(indent=2)` lays out a container at `depth`."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
 class DevelopmentHistory:
     """Per-file commit counts, pairwise co-change counts and author sets."""
 
@@ -299,20 +308,32 @@ class DevelopmentHistory:
             self._entity_authors = (dict(entity_files), EntityAuthors(rows, incidence, masks))
         return self._entity_authors[1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "fileChanges": {
-                f: {
-                    "count": self.file_commit_count[f],
-                    "with": dict(sorted(self.co_changes.get(f, {}).items())),
-                }
-                for f in self.files()
-            },
-            "authorship": {f: sorted(self.file_authors[f]) for f in self.files()},
-        }
-
     def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The history as `json.dumps(..., indent=2, sort_keys=True)` writes it, plus a newline.
+
+        Built directly over the fixed shape: with an indent, `json.dumps` falls
+        back to its pure-Python encoder.  Names are escaped by the function
+        `json.dumps` itself escapes them with.
+        """
+        quote = encode_basestring_ascii
+        files = self.files()
+        changes = [
+            f'{quote(f)}: {{\n      "count": {self.file_commit_count[f]},\n      "with": '
+            + _json_block(
+                [f"{quote(p)}: {k}" for p, k in sorted(self.co_changes.get(f, {}).items())], 3, "{}"
+            )
+            + "\n    }"
+            for f in files
+        ]
+        authorship = [
+            f"{quote(f)}: " + _json_block([quote(a) for a in sorted(self.file_authors[f])], 2, "[]")
+            for f in files
+        ]
+        top = [
+            f'"authorship": {_json_block(authorship, 1, "{}")}',
+            f'"fileChanges": {_json_block(changes, 1, "{}")}',
+        ]
+        return _json_block(top, 0, "{}") + "\n"
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "DevelopmentHistory":
@@ -330,14 +351,14 @@ class DevelopmentHistory:
             if not isinstance(entry, dict) or set(entry) != {"count", "with"}:
                 raise HistoryError(f"bad fileChanges entry for {filename!r}")
             count = entry["count"]
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:  # not bool: JSON true is no count
                 raise HistoryError(f"bad commit count for {filename!r}: {count!r}")
             counts[filename] = count
             partners = entry["with"]
             if not isinstance(partners, dict):
                 raise HistoryError(f"bad co-change map for {filename!r}")
             for other, k in partners.items():
-                if not isinstance(k, int) or k < 1:
+                if type(k) is not int or k < 1:
                     raise HistoryError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
             co[filename] = dict(partners)
         for filename, partners in co.items():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +205,9 @@ def run_sweep(
             stack, model, history, entity_files, codebase, weight_vectors, counts
         )
     else:
+        # imported here: loading the process pool costs every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk_size = -(-len(weight_vectors) // parallelism)
         chunks = [
             weight_vectors[i : i + chunk_size]

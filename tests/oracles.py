@@ -7,6 +7,7 @@ for bit.  Traces are dicts name -> [(entity, mode), ...]; commits are lists of
 (author, set_of_files).
 """
 
+import json
 import math
 
 import mpmath
@@ -224,6 +225,17 @@ def dead_files(events):
         if deletes and not any(f == name and s != "D" and t > max(deletes) for f, s, t in events):
             dead.add(name)
     return dead
+
+
+def history_json(file_commit_count, co_changes, file_authors):
+    """A history file as `json.dumps` writes the dict of the documented shape."""
+    raw = {
+        "fileChanges": {
+            f: {"count": n, "with": dict(co_changes.get(f, {}))} for f, n in file_commit_count.items()
+        },
+        "authorship": {f: sorted(file_authors[f]) for f in file_commit_count},
+    }
+    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
 def upgma_merges(matrix):

@@ -216,7 +216,7 @@ def test_acceptance_5_mining_fixtures(capsys):
     for name, expected in cases:
         text = log_fixture(name)
         first = mine_history(text)
-        if first.to_json_dict() != expected:
+        if json.loads(first.serialize()) != expected:
             failures.append(f"{name}: representation differs from hand derivation")
         if first.serialize() != mine_history(text).serialize():
             failures.append(f"{name}: serialization not reproducible")

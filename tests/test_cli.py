@@ -1,6 +1,10 @@
 """End-to-end command line tests over the fixture repository and crafted inputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,27 @@ def _mine(fixture_repo, tmp_path, name="history.json"):
 
 
 # ------------------------------------------------------------------ plumbing
+
+_COLD_START = """
+import json, sys
+import monosplit.cli
+loaded = [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+from monosplit.analysis import welch_test
+p_value = welch_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6]).p_value
+print(json.dumps({"loaded": loaded, "p_value": p_value, "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():
+    # a fresh interpreter: this one has scipy loaded already, by test_clustering.py
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, check=True
+    )
+    facts = json.loads(child.stdout)
+    assert facts["loaded"] == []
+    assert facts["p_value"] == pytest.approx(0.8267, abs=5e-4)  # test_welch_reference_case
+    assert facts["special"]
 
 
 def test_version_flag_exits_cleanly(capsys):

@@ -128,6 +128,9 @@ def test_average_linkage_height_uses_cluster_sizes():
         (np.zeros((0, 0)), "empty"),
         (_square([[0.0, 0.2], [0.3, 0.0]]), "symmetric"),
         (_square([[0.5, 0.2], [0.2, 0.0]]), "diagonal"),
+        (_square([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+        (_square([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+        (_square([[0.0, 0.5, np.inf], [0.5, 0.0, np.inf], [np.inf, np.inf, 0.0]]), "finite"),
     ],
 )
 def test_agglomerate_rejects_bad_input(matrix, message):

@@ -1,10 +1,12 @@
 """Log parsing, rename/delete handling, bundling and history counting."""
 
+import json
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -283,7 +285,7 @@ EXPECTED_BUNDLING = {
 )
 def test_fixture_logs_match_hand_derivation(name, expected):
     history = mine_history(log_fixture(name))
-    assert history.to_json_dict() == expected
+    assert json.loads(history.serialize()) == expected
 
 
 def test_mining_is_deterministic():
@@ -294,7 +296,39 @@ def test_mining_is_deterministic():
 def test_serialize_parse_round_trip():
     history = mine_history(log_fixture("bundling.log"))
     reparsed = DevelopmentHistory.parse(history.serialize())
-    assert reparsed.to_json_dict() == history.to_json_dict()
+    assert reparsed.serialize() == history.serialize()
+
+
+# names that json.dumps escapes: quote, backslash, control characters, non-ASCII and astral
+_NAME = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def history_parts(draw):
+    """Counts, symmetric co-changes and author sets; some files have no partners at all."""
+    files = draw(st.lists(_NAME, unique=True, max_size=8))
+    counts = {f: draw(st.integers(1, 50)) for f in files}
+    co: dict[str, dict[str, int]] = {f: {} for f in files if draw(st.booleans())}
+    for a, b in combinations(files, 2):
+        if draw(st.booleans()):
+            k = draw(st.integers(1, min(counts[a], counts[b])))
+            co.setdefault(a, {})[b] = k
+            co.setdefault(b, {})[a] = k
+    authors = {f: frozenset(draw(st.lists(_NAME, min_size=1, max_size=4))) for f in files}
+    return counts, co, authors
+
+
+@given(history_parts())
+@example(({}, {}, {}))
+@settings(max_examples=200, deadline=None)
+def test_serialize_writes_what_json_dumps_writes(parts):
+    text = DevelopmentHistory(*parts).serialize()
+    assert text == oracles.history_json(*parts)
+    assert DevelopmentHistory.parse(text).serialize() == text
 
 
 @pytest.mark.parametrize(
@@ -305,10 +339,11 @@ def test_serialize_parse_round_trip():
         lambda d: d["fileChanges"]["P.java"]["with"].update({"Q.java": 9}),  # asymmetric
         lambda d: d["authorship"].update({"P.java": []}),
         lambda d: d["fileChanges"].update({"X.java": {"count": 1, "with": {}}}),
+        lambda d: d["fileChanges"]["Q.java"].update(count=True),  # JSON true is no count
     ],
 )
 def test_malformed_history_json_rejected(mutate):
-    raw = mine_history(log_fixture("bundling.log")).to_json_dict()
+    raw = json.loads(mine_history(log_fixture("bundling.log")).serialize())
     mutate(raw)
     with pytest.raises(HistoryError):
         DevelopmentHistory.from_json_dict(raw)
@@ -353,7 +388,8 @@ def test_pipeline_invariants_on_random_streams(events):
         for file_b, shared in history.co_changes.get(file_a, {}).items():
             assert shared == history.co_changes[file_b][file_a]
             assert shared <= min(history.commit_count(file_a), history.commit_count(file_b))
-    assert DevelopmentHistory.parse(history.serialize()).to_json_dict() == history.to_json_dict()
+    text = history.serialize()
+    assert DevelopmentHistory.parse(text).serialize() == text
 
 
 @given(commit_stream(), st.sampled_from([1, 3600, 86_400]), st.booleans(), st.randoms())
