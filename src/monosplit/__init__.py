@@ -32,7 +32,6 @@ from .metrics import (
     Scorer,
     cohesion,
     combined_score,
-    complexity,
     coupling,
     evaluate,
     max_complexity,

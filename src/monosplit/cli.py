@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -101,16 +102,22 @@ def _read_codebase_stats(path: str) -> list[CodebaseStats]:
     lines = [line for line in _read_text(path).splitlines() if line.strip()]
     if not lines or lines[0].split(",") != ["codebase", "commits", "authors"]:
         raise UsageError(f"{path}: expected header codebase,commits,authors")
-    stats = []
+    stats: dict[str, CodebaseStats] = {}
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise UsageError(f"{path}: bad stats row: {line!r}")
         try:
-            stats.append(CodebaseStats(parts[0], float(parts[1]), float(parts[2])))
+            row = CodebaseStats(parts[0], float(parts[1]), float(parts[2]))
         except ValueError:
             raise UsageError(f"{path}: bad stats row: {line!r}") from None
-    return stats
+        # comparisons with NaN are false, so this also rejects NaN
+        if not (0 <= row.commits < math.inf and 0 <= row.authors < math.inf):
+            raise UsageError(f"{path}: counts must be finite and not negative: {line!r}")
+        if row.codebase in stats:
+            raise UsageError(f"{path}: codebase listed twice: {row.codebase!r}")
+        stats[row.codebase] = row
+    return list(stats.values())
 
 
 def _summary_dict(entry: dict) -> dict:

@@ -235,24 +235,6 @@ class Decomposition:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def assignment(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for index, cluster in enumerate(self.clusters):
-            for entity in cluster:
-                if entity in out:
-                    raise ClusteringError(f"entity in two clusters: {entity!r}")
-                out[entity] = index
-        return out
-
-    @classmethod
-    def from_clusters(cls, codebase: str, clusters, weights: Weights | None = None):
-        canonical = tuple(sorted(tuple(sorted(c)) for c in clusters))
-        if any(not cluster for cluster in canonical):
-            raise ClusteringError("empty cluster")
-        decomposition = cls(codebase, canonical, weights)
-        decomposition.assignment()  # disjointness check
-        return decomposition
-
     def to_json_dict(self) -> dict:
         return {
             "codebase": self.codebase,

@@ -33,7 +33,7 @@ class Weights:
 
     def __post_init__(self):
         for name, value in zip(MEASURE_NAMES, self.as_tuple()):
-            if not isinstance(value, int) or not 0 <= value <= 100:
+            if type(value) is not int or not 0 <= value <= 100:  # bool is an int subclass
                 raise SimilarityError(f"weight {name} must be an integer in [0, 100], got {value!r}")
         if sum(self.as_tuple()) != 100:
             raise SimilarityError(f"weights must sum to 100, got {sum(self.as_tuple())}")

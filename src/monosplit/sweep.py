@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,10 +276,12 @@ def read_results_csv(text: str) -> list[ResultRow]:
             raise SweepError(f"bad results CSV row: {record}")
         try:
             weights = Weights(*[int(v) for v in record[2:8]])
-            metrics = MetricsRecord(*[float(v) for v in record[9:14]])
-            row = ResultRow(record[0], int(record[1]), weights, record[8], metrics)
+            values = [float(v) for v in record[9:14]]
+            row = ResultRow(record[0], int(record[1]), weights, record[8], MetricsRecord(*values))
         except ValueError as exc:
             raise SweepError(f"bad results CSV row {record}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise SweepError(f"non-finite metric in results CSV row: {record}")
         if row.group not in GROUPS:
             raise SweepError(f"unknown group in results CSV: {row.group!r}")
         rows.append(row)

@@ -62,3 +62,9 @@ def random_partition(rng, entities, n_clusters):
     for entity in entities[n_clusters:]:
         clusters[rng.randrange(n_clusters)].append(entity)
     return [sorted(c) for c in clusters]
+
+
+def partition_masks(entities, clusters):
+    """Clusters of entity names as member masks, bit i standing for entities[i], in cluster order."""
+    bits = {entity: i for i, entity in enumerate(entities)}
+    return tuple(sum(1 << bits[entity] for entity in cluster) for cluster in clusters)

@@ -13,11 +13,9 @@ import pytest
 
 from monosplit import (
     CodebaseStats,
-    Decomposition,
     Scorer,
     classify_group,
     cohesion,
-    complexity,
     coupling,
     enumerate_weights,
     evaluate,
@@ -34,7 +32,14 @@ from monosplit.similarity import MEASURE_NAMES, measure_matrices
 
 import oracles
 from conftest import log_fixture
-from synth import commits_to_history, random_commits, random_partition, random_traces, to_model
+from synth import (
+    commits_to_history,
+    partition_masks,
+    random_commits,
+    random_partition,
+    random_traces,
+    to_model,
+)
 from test_history import (
     EXPECTED_BULK,
     EXPECTED_BUNDLING,
@@ -114,11 +119,9 @@ def test_acceptance_3_metric_properties(capsys):
         history = commits_to_history(commits)
         n = len(model.entities)
         for k in range(1, n + 1):
-            decomposition = Decomposition.from_clusters(
-                "synth", random_partition(rng, model.entities, k)
-            )
+            partition = partition_masks(model.entities, random_partition(rng, model.entities, k))
             scorer = Scorer(model, history.entity_authors(files))
-            record = evaluate(scorer, scorer.masks(decomposition))
+            record = evaluate(scorer, partition)
             values = (
                 record.uniform_complexity,
                 record.cohesion,
@@ -129,7 +132,7 @@ def test_acceptance_3_metric_properties(capsys):
             if not all(0.0 <= v <= 1.0 for v in values):
                 failures.append(f"seed {seed} k={k}: metric out of range {values}")
             if k == 1 and (
-                complexity(decomposition, model) != 0.0 or record.coupling != 0.0
+                scorer.splitting_cost(scorer.clusters(partition)) != 0 or record.coupling != 0.0
             ):
                 failures.append(f"seed {seed}: single cluster not free of splitting cost")
             if k == n and record.cohesion != 1.0:
@@ -178,23 +181,22 @@ def test_acceptance_4_oracle_equivalence(capsys):
                             f"seed {seed} {name}({a},{b}) = {got} != oracle {want}"
                         )
         for k in range(1, len(entities) + 1):
-            decomposition = Decomposition.from_clusters(
-                "synth", random_partition(rng, entities, k)
-            )
-            clusters = [list(c) for c in decomposition.clusters]
+            clusters = sorted(random_partition(rng, entities, k))
+            scorer = Scorer(model, history.entity_authors(files))
+            scored = scorer.clusters(partition_masks(entities, clusters))
             file_authors = {f: set(history.file_authors[f]) for f in history.files()}
             checks = (
-                ("complexity", complexity(decomposition, model),
+                ("complexity", scorer.splitting_cost(scored) / len(model.functionalities),
                  oracles.complexity_measure(clusters, traces)),
                 ("max_complexity", max_complexity(model),
                  oracles.max_complexity_measure(traces)),
-                ("uniform", uniform_complexity(decomposition, model),
+                ("uniform", uniform_complexity(scorer, scored),
                  oracles.uniform_complexity_measure(clusters, traces)),
-                ("cohesion", cohesion(decomposition, model),
+                ("cohesion", cohesion(scorer, scored),
                  oracles.cohesion_measure(clusters, traces)),
-                ("coupling", coupling(decomposition, model),
+                ("coupling", coupling(scorer, scored),
                  oracles.coupling_measure(clusters, traces)),
-                ("tsr", tsr(decomposition, history, files),
+                ("tsr", tsr(scorer, scored),
                  oracles.tsr_measure(clusters, files, file_authors)),
             )
             for label, got, want in checks:

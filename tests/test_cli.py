@@ -383,9 +383,21 @@ def test_analyze_garbage_results_is_pipeline_error(tmp_path, capsys):
 def test_analyze_bad_stats_file_is_usage_error(tmp_path, capsys):
     results = _crafted_results(tmp_path)
     stats = tmp_path / "stats.csv"
-    stats.write_text("wrong,header\n1,2\n", encoding="utf-8")
-    code = main(
-        ["analyze", str(results), "--size-split", str(stats), "--out", str(tmp_path / "r.json")]
-    )
-    assert code == 2
-    assert "codebase,commits,authors" in capsys.readouterr().err
+    header = "codebase,commits,authors\n"
+    bad_count = "counts must be finite and not negative"
+    cases = [
+        ("wrong,header\n1,2\n", "codebase,commits,authors"),
+        (header + "a,nan,3\nb,5,6\n", bad_count),
+        (header + "a,1,inf\nb,5,6\n", bad_count),
+        (header + "a,1,-inf\nb,5,6\n", bad_count),
+        (header + "a,-1,3\nb,5,6\n", bad_count),
+        (header + "a,1,3\nb,5,-0.5\n", bad_count),
+        (header + "a,1,3\nb,5,6\na,7,8\n", "codebase listed twice: 'a'"),
+    ]
+    for text, message in cases:
+        stats.write_text(text, encoding="utf-8")
+        report = tmp_path / "r.json"
+        code = main(["analyze", str(results), "--size-split", str(stats), "--out", str(report)])
+        assert code == 2, text
+        assert message in capsys.readouterr().err, text
+        assert not report.exists()

@@ -259,6 +259,13 @@ def test_cut_levels(pair_dendrogram):
     assert cut(pair_dendrogram, 1, entities) == (("A", "B", "C", "D"),)
 
 
+def test_cut_canonicalizes_names_in_any_leaf_order(pair_dendrogram):
+    # `decompose` writes these tuples as they come: members sorted, clusters sorted
+    entities = ["d", "c", "b", "a"]
+    assert cut(pair_dendrogram, 3, entities) == (("a",), ("b",), ("c", "d"))
+    assert cut(pair_dendrogram, 2, entities) == (("a", "b"), ("c", "d"))
+
+
 def test_cut_rejects_wrong_entity_count(pair_dendrogram):
     with pytest.raises(ClusteringError, match="expected 4 entities"):
         cut(pair_dendrogram, 2, ["A", "B", "C"])
@@ -408,27 +415,8 @@ def test_agglomerate_stack_rejects_bad_shape(shape):
 # -------------------------------------------------------------- decomposition
 
 
-def test_from_clusters_canonicalizes():
-    decomposition = Decomposition.from_clusters("shop", [["c", "b"], ["a"]])
-    assert decomposition.clusters == (("a",), ("b", "c"))
-    assert decomposition.n_clusters == 2
-    assert decomposition.assignment() == {"a": 0, "b": 1, "c": 1}
-
-
-def test_from_clusters_rejects_duplicates():
-    with pytest.raises(ClusteringError, match="two clusters"):
-        Decomposition.from_clusters("shop", [["a", "b"], ["b"]])
-
-
-def test_from_clusters_rejects_empty_cluster():
-    with pytest.raises(ClusteringError, match="empty cluster"):
-        Decomposition.from_clusters("shop", [["a"], []])
-
-
 def test_serialize_layout():
-    decomposition = Decomposition.from_clusters(
-        "shop", [["b", "a"], ["c"]], Weights(100, 0, 0, 0, 0, 0)
-    )
+    decomposition = Decomposition("shop", (("a", "b"), ("c",)), Weights(100, 0, 0, 0, 0, 0))
     assert decomposition.serialize() == (
         "{\n"
         '  "clusters": [\n'
@@ -444,10 +432,12 @@ def test_serialize_layout():
 
 def test_serialize_parse_round_trip():
     for weights in (Weights(0, 0, 0, 40, 30, 30), None):
-        decomposition = Decomposition.from_clusters("shop", [["b", "a"], ["c"]], weights)
+        decomposition = Decomposition("shop", (("a", "b"), ("c",)), weights)
         raw = json.loads(decomposition.serialize())
         assert raw["nClusters"] == decomposition.n_clusters
-        again = Decomposition.from_clusters(
-            raw["codebase"], raw["clusters"], Weights(*raw["weights"]) if raw["weights"] else None
+        again = Decomposition(
+            raw["codebase"],
+            tuple(map(tuple, raw["clusters"])),
+            Weights(*raw["weights"]) if raw["weights"] else None,
         )
         assert again == decomposition

@@ -6,13 +6,11 @@ import random
 import pytest
 
 from monosplit import (
-    Decomposition,
     DevelopmentHistory,
     MetricsError,
     Scorer,
     cohesion,
     combined_score,
-    complexity,
     coupling,
     evaluate,
     load_access_model,
@@ -20,22 +18,40 @@ from monosplit import (
     tsr,
     uniform_complexity,
 )
+from monosplit import metrics
 
 import oracles
-from synth import commits_to_history, random_commits, random_partition, random_traces, to_model
+from synth import (
+    commits_to_history,
+    partition_masks,
+    random_commits,
+    random_partition,
+    random_traces,
+    to_model,
+)
 
 
 def _model(payload):
     return load_access_model(json.dumps(payload))
 
 
-def _split(clusters):
-    return Decomposition.from_clusters("demo", clusters)
+NO_AUTHORS = DevelopmentHistory({}, {}, {}).entity_authors({})
 
 
-def _evaluate(decomposition, model, history, files):
-    scorer = Scorer(model, history.entity_authors(files))
-    return evaluate(scorer, scorer.masks(decomposition))
+def _scored(model, clusters, authors=NO_AUTHORS):
+    """A fresh scorer and the per-cluster terms of the clusters of entity names."""
+    scorer = Scorer(model, authors)
+    return scorer, scorer.clusters(partition_masks(model.entities, clusters))
+
+
+def _complexity(model, clusters):
+    """Splitting cost per functionality: the paper's complexity."""
+    scorer, scored = _scored(model, clusters)
+    return scorer.splitting_cost(scored) / len(model.functionalities)
+
+
+def _metric(metric, model, clusters):
+    return metric(*_scored(model, clusters))
 
 
 CROSS_MODEL = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["A", "W"]]})
@@ -45,17 +61,17 @@ CROSS_MODEL = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["A", "
 
 
 def test_single_cluster_has_no_complexity():
-    assert complexity(_split([["A", "B"]]), CROSS_MODEL) == 0.0
+    assert _complexity(CROSS_MODEL, [["A", "B"]]) == 0.0
 
 
 def test_opposite_mode_peers_counted_per_access():
     # each functionality pays 1 at each of its two accesses for the other one
-    assert complexity(_split([["A"], ["B"]]), CROSS_MODEL) == 2.0
+    assert _complexity(CROSS_MODEL, [["A"], ["B"]]) == 2.0
 
 
 def test_local_functionality_costs_nothing():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"]]})
-    assert complexity(_split([["A"], ["B"]]), model) == 0.0
+    assert _complexity(model, [["A"], ["B"]]) == 0.0
 
 
 def test_repeated_accesses_count_once():
@@ -65,19 +81,12 @@ def test_repeated_accesses_count_once():
             "f2": [["B", "R"], ["A", "W"], ["A", "W"]],
         }
     )
-    assert complexity(_split([["A"], ["B"]]), CROSS_MODEL) == 2.0
-    assert complexity(_split([["A"], ["B"]]), model) == 2.0
-
-
-def test_complexity_requires_full_coverage():
-    with pytest.raises(MetricsError, match="missing from decomposition"):
-        complexity(_split([["A"]]), CROSS_MODEL)
+    assert _complexity(CROSS_MODEL, [["A"], ["B"]]) == 2.0
+    assert _complexity(model, [["A"], ["B"]]) == 2.0
 
 
 def test_empty_model_scores_zero():
-    model = _model({})
-    assert complexity(_split([["A"]]), model) == 0.0
-    assert max_complexity(model) == 0.0
+    assert max_complexity(_model({})) == 0.0
 
 
 # ------------------------------------------------------------- max/uniform
@@ -93,18 +102,12 @@ def test_max_complexity_zero_for_single_entity_traces():
     model = _model({"f1": [["A", "R"]], "f2": [["A", "W"], ["A", "R"]]})
     assert max_complexity(model) == 0.0
     # degenerate ceiling: uniform defined as 0 for any decomposition
-    assert uniform_complexity(_split([["A"]]), model) == 0.0
+    assert _metric(uniform_complexity, model, [["A"]]) == 0.0
 
 
 def test_uniform_complexity_hits_one_at_worst_case():
-    assert uniform_complexity(_split([["A"], ["B"]]), CROSS_MODEL) == 1.0
-    assert uniform_complexity(_split([["A", "B"]]), CROSS_MODEL) == 0.0
-
-
-def test_uniform_complexity_requires_full_coverage():
-    model = _model({"f1": [["A", "R"]]})  # ceiling 0, coverage still checked
-    with pytest.raises(MetricsError, match="missing from decomposition"):
-        uniform_complexity(_split([["B"]]), model)
+    assert _metric(uniform_complexity, CROSS_MODEL, [["A"], ["B"]]) == 1.0
+    assert _metric(uniform_complexity, CROSS_MODEL, [["A", "B"]]) == 0.0
 
 
 # ------------------------------------------------------------------ cohesion
@@ -112,59 +115,41 @@ def test_uniform_complexity_requires_full_coverage():
 
 def test_cohesion_partial_touch():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["A", "R"]]})
-    assert cohesion(_split([["A", "B"]]), model) == pytest.approx(0.75)
+    assert _metric(cohesion, model, [["A", "B"]]) == pytest.approx(0.75)
 
 
 def test_cohesion_full_touch_is_one():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["C", "R"], ["D", "W"]]})
-    assert cohesion(_split([["A", "B"], ["C", "D"]]), model) == 1.0
+    assert _metric(cohesion, model, [["A", "B"], ["C", "D"]]) == 1.0
 
 
 def test_singletons_are_fully_cohesive():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["A", "R"], ["C", "W"]]})
-    assert cohesion(_split([["A"], ["B"], ["C"]]), model) == 1.0
-
-
-def test_untouched_cluster_scores_one():
-    model = _model({"f1": [["A", "R"]]})
-    decomposition = Decomposition.from_clusters("demo", [["A"], ["B", "C"]])
-    assert cohesion(decomposition, model) == 1.0
-
-
-def test_cohesion_requires_full_coverage():
-    with pytest.raises(MetricsError, match="missing from decomposition"):
-        cohesion(_split([["A"]]), CROSS_MODEL)
+    assert _metric(cohesion, model, [["A"], ["B"], ["C"]]) == 1.0
 
 
 # ------------------------------------------------------------------ coupling
 
 
 def test_single_cluster_has_no_coupling():
-    assert coupling(_split([["A", "B"]]), CROSS_MODEL) == 0.0
+    assert _metric(coupling, CROSS_MODEL, [["A", "B"]]) == 0.0
 
 
 def test_coupling_counts_exposed_share_of_target():
-    model = _model({"f1": [["A", "R"], ["B", "W"]]})
-    decomposition = Decomposition.from_clusters("demo", [["A"], ["B", "C"]])
+    model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["C", "R"]]})
     # B is exposed to {A}: 1 of 2 entities one way, nothing the other way
-    assert coupling(decomposition, model) == pytest.approx(0.25)
+    assert _metric(coupling, model, [["A"], ["B", "C"]]) == pytest.approx(0.25)
 
 
 def test_no_cross_cluster_adjacency_means_no_coupling():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["C", "R"], ["C", "W"]]})
-    assert coupling(_split([["A", "B"], ["C"]]), model) == 0.0
+    assert _metric(coupling, model, [["A", "B"], ["C"]]) == 0.0
 
 
 def test_exposure_is_directional():
     model = _model({"f1": [["A", "R"], ["B", "W"], ["A", "W"]]})
-    decomposition = _split([["A"], ["B"]])
     # A->B exposes B, B->A exposes A: both directions, each a full singleton
-    assert coupling(decomposition, model) == 1.0
-
-
-def test_coupling_requires_full_coverage():
-    with pytest.raises(MetricsError, match="missing from decomposition"):
-        coupling(_split([["A"]]), CROSS_MODEL)
+    assert _metric(coupling, model, [["A"], ["B"]]) == 1.0
 
 
 # ----------------------------------------------------------------------- tsr
@@ -178,6 +163,12 @@ def _history(file_authors):
     )
 
 
+def _tsr(clusters, history, entity_files):
+    """TSR of the clusters over a model whose one trace reads each of their members."""
+    model = _model({"f": [[entity, "R"] for cluster in clusters for entity in cluster]})
+    return tsr(*_scored(model, clusters, history.entity_authors(entity_files)))
+
+
 def test_tsr_mean_cluster_authors_over_total():
     history = _history(
         {
@@ -186,48 +177,44 @@ def test_tsr_mean_cluster_authors_over_total():
             "legacy/Old.java": {"w"},  # counts toward the total only
         }
     )
-    decomposition = _split([["A"], ["C"]])
     entity_files = {"A": "a/A.java", "C": "c/C.java"}
-    assert tsr(decomposition, history, entity_files) == pytest.approx(0.5)
+    assert _tsr([["A"], ["C"]], history, entity_files) == pytest.approx(0.5)
 
 
 def test_tsr_single_cluster_covering_everyone_is_one():
     history = _history({"a/A.java": {"x", "y"}, "b/B.java": {"z"}})
-    decomposition = _split([["A", "B"]])
     entity_files = {"A": "a/A.java", "B": "b/B.java"}
-    assert tsr(decomposition, history, entity_files) == 1.0
+    assert _tsr([["A", "B"]], history, entity_files) == 1.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_tsr_disjoint_single_author_teams(k):
     files = {f"E{i}": f"src/E{i}.java" for i in range(k)}
     history = _history({files[f"E{i}"]: {f"dev{i}"} for i in range(k)})
-    decomposition = _split([[f"E{i}"] for i in range(k)])
-    assert tsr(decomposition, history, files) == pytest.approx(1 / k)
+    assert _tsr([[f"E{i}"] for i in range(k)], history, files) == pytest.approx(1 / k)
 
 
 def test_tsr_skips_unmapped_entities():
     history = _history({"a/A.java": {"x"}, "b/B.java": {"y"}})
-    decomposition = _split([["A", "Ghost"], ["B"]])
-    entity_files = {"A": "a/A.java", "B": "b/B.java", "Ghost": None}
-    # Ghost contributes no authors; (1 + 1)/2 clusters over 2 total authors
-    assert tsr(decomposition, history, entity_files) == pytest.approx(0.5)
+    entity_files = {"A": "a/A.java", "B": "b/B.java", "Unmapped": None}
+    # Unmapped contributes no authors; (1 + 1)/2 clusters over 2 total authors
+    assert _tsr([["A", "Unmapped"], ["B"]], history, entity_files) == pytest.approx(0.5)
 
 
 def test_tsr_follows_each_mapping_asked_of_one_history():
     history = _history({"a/A.java": {"x"}, "b/B.java": {"y"}})
-    together = _split([["A", "B"]])
+    together = [["A", "B"]]
     entity_files = {"A": "a/A.java", "B": "b/B.java"}
-    assert tsr(together, history, entity_files) == 1.0
-    assert tsr(together, history, {"A": "a/A.java", "B": "a/A.java"}) == 0.5
-    assert tsr(together, history, entity_files) == 1.0
+    assert _tsr(together, history, entity_files) == 1.0
+    assert _tsr(together, history, {"A": "a/A.java", "B": "a/A.java"}) == 0.5
+    assert _tsr(together, history, entity_files) == 1.0
     entity_files["B"] = None  # changed in place, not replaced
-    assert tsr(together, history, entity_files) == 0.5
+    assert _tsr(together, history, entity_files) == 0.5
 
 
 def test_tsr_rejects_history_without_authors():
     with pytest.raises(MetricsError, match="no authors"):
-        tsr(_split([["A"]]), DevelopmentHistory({}, {}, {}), {"A": None})
+        _tsr([["A"]], DevelopmentHistory({}, {}, {}), {"A": None})
 
 
 # ------------------------------------------------------------------ combined
@@ -251,21 +238,51 @@ def test_combined_score_rejects_out_of_range(position, bad):
 # ------------------------------------------------------------------ evaluate
 
 
+def _evaluate(model, clusters, history, files):
+    scorer = Scorer(model, history.entity_authors(files))
+    return evaluate(scorer, partition_masks(model.entities, clusters))
+
+
 def test_evaluate_bundles_the_five_numbers():
     rng = random.Random(5)
     traces = random_traces(rng, 5)
     model = to_model(traces)
     commits, files = random_commits(rng, model.entities)
     history = commits_to_history(commits)
-    decomposition = _split(random_partition(rng, model.entities, 2))
-    record = _evaluate(decomposition, model, history, files)
-    assert record.uniform_complexity == uniform_complexity(decomposition, model)
-    assert record.cohesion == cohesion(decomposition, model)
-    assert record.coupling == coupling(decomposition, model)
-    assert record.tsr == tsr(decomposition, history, files)
+    clusters = random_partition(rng, model.entities, 2)
+    record = _evaluate(model, clusters, history, files)
+    scored = _scored(model, clusters, history.entity_authors(files))
+    assert record.uniform_complexity == uniform_complexity(*scored)
+    assert record.cohesion == cohesion(*scored)
+    assert record.coupling == coupling(*scored)
+    assert record.tsr == tsr(*scored)
     identity = 4 * record.combined - record.uniform_complexity
     identity -= record.coupling + record.tsr - record.cohesion
     assert identity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evaluate_scores_through_the_module_level_metrics(monkeypatch):
+    # the names benchmark/tracing.py wraps must be the ones evaluate calls
+    rng = random.Random(5)
+    model = to_model(random_traces(rng, 5))
+    commits, files = random_commits(rng, model.entities)
+    scorer = Scorer(model, commits_to_history(commits).entity_authors(files))
+    partition = partition_masks(model.entities, random_partition(rng, model.entities, 2))
+    stand_ins = {"uniform_complexity": 0.25, "cohesion": 0.5, "coupling": 0.125, "tsr": 0.75}
+    calls = []
+    for name, value in stand_ins.items():
+        def stand_in(got_scorer, clusters, name=name, value=value):
+            calls.append((name, got_scorer, clusters))
+            return value
+
+        monkeypatch.setattr(metrics, name, stand_in)
+    record = evaluate(scorer, partition)
+    clusters = scorer.clusters(partition)
+    assert calls == [(name, scorer, clusters) for name in stand_ins]
+    assert (record.uniform_complexity, record.cohesion, record.coupling, record.tsr) == tuple(
+        stand_ins.values()
+    )
+    assert record.combined == combined_score(*stand_ins.values())
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -277,8 +294,8 @@ def test_range_and_boundary_properties(seed):
     history = commits_to_history(commits)
     n = len(model.entities)
     for k in range(1, n + 1):
-        decomposition = _split(random_partition(rng, model.entities, k))
-        record = _evaluate(decomposition, model, history, files)
+        clusters = random_partition(rng, model.entities, k)
+        record = _evaluate(model, clusters, history, files)
         for value in (
             record.uniform_complexity,
             record.cohesion,
@@ -288,7 +305,7 @@ def test_range_and_boundary_properties(seed):
         ):
             assert 0.0 <= value <= 1.0
         if k == 1:
-            assert complexity(decomposition, model) == 0.0
+            assert _complexity(model, clusters) == 0.0
             assert record.coupling == 0.0
         if k == n:
             assert record.cohesion == 1.0
@@ -302,16 +319,12 @@ def test_metrics_match_naive_oracles(seed):
     commits, files = random_commits(rng, model.entities)
     history = commits_to_history(commits)
     for k in range(1, len(model.entities) + 1):
-        decomposition = _split(random_partition(rng, model.entities, k))
-        clusters = [list(c) for c in decomposition.clusters]
-        assert complexity(decomposition, model) == oracles.complexity_measure(clusters, traces)
+        clusters = sorted(random_partition(rng, model.entities, k))
+        scored = _scored(model, clusters, history.entity_authors(files))
+        assert _complexity(model, clusters) == oracles.complexity_measure(clusters, traces)
         assert max_complexity(model) == oracles.max_complexity_measure(traces)
-        assert uniform_complexity(decomposition, model) == oracles.uniform_complexity_measure(
-            clusters, traces
-        )
-        assert cohesion(decomposition, model) == oracles.cohesion_measure(clusters, traces)
-        assert coupling(decomposition, model) == oracles.coupling_measure(clusters, traces)
+        assert uniform_complexity(*scored) == oracles.uniform_complexity_measure(clusters, traces)
+        assert cohesion(*scored) == oracles.cohesion_measure(clusters, traces)
+        assert coupling(*scored) == oracles.coupling_measure(clusters, traces)
         file_authors = {f: set(history.file_authors[f]) for f in history.files()}
-        assert tsr(decomposition, history, files) == oracles.tsr_measure(
-            clusters, files, file_authors
-        )
+        assert tsr(*scored) == oracles.tsr_measure(clusters, files, file_authors)

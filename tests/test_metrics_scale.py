@@ -22,6 +22,7 @@ import oracles
 from synth import (
     MODES,
     commits_to_history,
+    partition_masks,
     random_commits,
     random_partition,
     random_traces,
@@ -94,18 +95,17 @@ def test_memo_keeps_every_bit(seed, n_entities, n_functionalities, trace_len, st
     rng, traces, model, history, files = _benchmark_model(
         seed, n_entities, n_functionalities, trace_len
     )
-    # a member no trace mentions rides along in every partition
-    partitions = _chained_partitions(rng, [*model.entities, "Ghost"], steps)
+    partitions = _chained_partitions(rng, model.entities, steps)
     occurrences = [frozenset(c) for clusters in partitions for c in clusters]
     assert len(set(occurrences)) < len(occurrences)
     shared = Scorer(model, history.entity_authors(files))
     for clusters in partitions:
-        decomposition = Decomposition.from_clusters("scale", clusters)
-        record = evaluate(shared, shared.masks(decomposition))
+        partition = partition_masks(model.entities, clusters)
+        record = evaluate(shared, partition)
         fresh = Scorer(model, history.entity_authors(files))
-        assert record == evaluate(fresh, fresh.masks(decomposition))
+        assert record == evaluate(fresh, partition)
         got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
-        want = _oracle_record([list(c) for c in decomposition.clusters], traces, files, history)
+        want = _oracle_record(clusters, traces, files, history)
         for name, g, w in zip(("uniform", "cohesion", "coupling", "tsr", "combined"), got, want):
             assert abs(g - w) <= 1e-12, f"k={len(clusters)} {name}: {g!r} != {w!r}"
 
@@ -118,20 +118,13 @@ def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functio
     rng, traces, model, history, files = _benchmark_model(
         seed, n_entities, n_functionalities, trace_len
     )
-    partitions = _partitions(rng, model.entities)
-    # a member no trace mentions still counts toward its cluster's size
-    ghost = [list(c) for c in random_partition(rng, model.entities, 4)]
-    ghost[0].append("Ghost")
-    partitions.append(ghost)
-    for clusters in partitions:
-        decomposition = Decomposition.from_clusters("scale", clusters)
-        canonical = [list(c) for c in decomposition.clusters]
+    for clusters in _partitions(rng, model.entities):
         scorer = Scorer(model, history.entity_authors(files))
-        record = evaluate(scorer, scorer.masks(decomposition))
+        record = evaluate(scorer, partition_masks(model.entities, clusters))
         got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
-        want = _oracle_record(canonical, traces, files, history)
+        want = _oracle_record(clusters, traces, files, history)
         for name, g, w in zip(("uniform", "cohesion", "coupling", "tsr", "combined"), got, want):
-            assert abs(g - w) <= 1e-12, f"k={len(canonical)} {name}: {g!r} != {w!r}"
+            assert abs(g - w) <= 1e-12, f"k={len(clusters)} {name}: {g!r} != {w!r}"
 
 
 # Grid step and SHA-256 of the results CSV per (seed, entities, functionalities).

@@ -128,6 +128,8 @@ def test_weights_validation():
         Weights(-10, 50, 30, 30, 0, 0)
     with pytest.raises(SimilarityError):
         Weights(110, 0, 0, -10, 0, 0)
+    with pytest.raises(SimilarityError, match="weight access"):
+        Weights(True, 99, 0, 0, 0, 0)
 
 
 def test_weights_from_text():

@@ -26,7 +26,7 @@ from monosplit import (
     to_dissimilarity,
     write_results_csv,
 )
-from monosplit.clustering import Decomposition, members
+from monosplit.clustering import members
 from monosplit.sweep import (
     AUTHORSHIP_ONLY,
     COMBINED,
@@ -36,7 +36,7 @@ from monosplit.sweep import (
     SEQUENCES_ONLY,
 )
 
-from synth import commits_to_history, random_commits, random_traces, to_model
+from synth import commits_to_history, partition_masks, random_commits, random_traces, to_model
 
 
 # --------------------------------------------------------------- enumeration
@@ -193,7 +193,7 @@ def _decompose_clusters(model, history, files, weights, counts):
     return {n: cut(dendrogram, n, matrix.entities) for n in counts}
 
 
-def _single_runs(model, history, files, weights, counts, codebase):
+def _single_runs(model, history, files, weights, counts):
     """Metrics of the partitions `decompose` returns for these weights, by cluster count.
 
     Each partition is scored by a fresh scorer, so no memo is shared with the sweep's.
@@ -201,8 +201,7 @@ def _single_runs(model, history, files, weights, counts, codebase):
     out = {}
     for n, clusters in _decompose_clusters(model, history, files, weights, counts).items():
         scorer = Scorer(model, history.entity_authors(files))
-        partition = scorer.masks(Decomposition(codebase, clusters, weights))
-        out[n] = evaluate(scorer, partition)
+        out[n] = evaluate(scorer, partition_masks(model.entities, clusters))
     return out
 
 
@@ -222,7 +221,7 @@ def _names(partition, entities):
 def test_sweep_rows_match_single_runs(small_sweep, vector):
     model, history, files, rows, _ = small_sweep
     weights = Weights(*vector)
-    expected = _single_runs(model, history, files, weights, [3], "demo")
+    expected = _single_runs(model, history, files, weights, [3])
     row = next(r for r in rows if r.weights == weights)
     assert row.metrics == expected[3]
 
@@ -248,7 +247,7 @@ def test_sweep_rows_match_single_runs_on_whole_grid(n_entities):
     mismatched = [
         (weights.as_tuple(), n)
         for weights in grid
-        for n, record in _single_runs(model, history, files, weights, counts, "grid").items()
+        for n, record in _single_runs(model, history, files, weights, counts).items()
         if scored[(weights, n)] != record
     ]
     assert mismatched == []
@@ -441,6 +440,16 @@ def test_sweep_output_is_deterministic():
             ",".join(CSV_COLUMNS)
             + "\ndemo,3,10,20,30,40,0,0,NO_SUCH_GROUP,0.1,0.2,0.25,0.5,0.3875\n",
             "unknown group",
+        ),
+        (
+            ",".join(CSV_COLUMNS)
+            + "\ndemo,3,10,20,30,40,0,0,SEQUENCES_ONLY,nan,0.2,0.25,0.5,0.3875\n",
+            "non-finite metric",
+        ),
+        (
+            ",".join(CSV_COLUMNS)
+            + "\ndemo,3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,inf\n",
+            "non-finite metric",
         ),
     ],
 )
