@@ -77,11 +77,13 @@ def best_decompositions(rows: list[ResultRow], metric: str) -> list[ResultRow]:
     return [groups[key] for key in sorted(groups)]
 
 
-def quantile(values, fraction: float) -> float:
-    """Linear-interpolation quantile over the sorted sample."""
+def quartiles(values) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, by linear interpolation over the sorted sample."""
     if not values:
-        raise StatsError("quantile of an empty sample")
-    return float(np.quantile(np.asarray(values, dtype=float), fraction, method="linear"))
+        raise StatsError("quartiles of an empty sample")
+    sample = np.asarray(values, dtype=float)
+    q1, median, q3 = np.quantile(sample, [0.25, 0.5, 0.75], method="linear")
+    return float(q1), float(median), float(q3)
 
 
 def group_summary(rows: list[ResultRow], metric: str) -> dict[str, dict]:
@@ -100,12 +102,8 @@ def group_summary(rows: list[ResultRow], metric: str) -> dict[str, dict]:
         if not values:
             out[group] = {"count": 0}
             continue
-        out[group] = {
-            "count": len(values),
-            "median": quantile(values, 0.5),
-            "q1": quantile(values, 0.25),
-            "q3": quantile(values, 0.75),
-        }
+        q1, median, q3 = quartiles(values)
+        out[group] = {"count": len(values), "median": median, "q1": q1, "q3": q3}
     return out
 
 

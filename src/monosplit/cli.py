@@ -107,6 +107,8 @@ def _read_codebase_stats(path: str) -> list[CodebaseStats]:
         parts = line.split(",")
         if len(parts) != 3:
             raise UsageError(f"{path}: bad stats row: {line!r}")
+        if not parts[0] or parts[0] != parts[0].strip():
+            raise UsageError(f"{path}: codebase name empty or padded with spaces: {line!r}")
         try:
             row = CodebaseStats(parts[0], float(parts[1]), float(parts[2]))
         except ValueError:

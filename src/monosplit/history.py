@@ -7,7 +7,7 @@ import re
 import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -251,6 +251,113 @@ class EntityAuthors:
     masks: dict[str, int]  # every entity of the mapping -> its row of EA as bits, column j at bit j
 
 
+@dataclass(frozen=True)
+class HistoryIndex:
+    """A history as arrays over its counted files in sorted order, built once per history."""
+
+    positions: dict[str, int]  # counted file -> its position; the keys are in sorted order
+    commit_counts: np.ndarray  # int64: each file's commit count, by position
+    # the co-change cells, one per (file, partner) entry, ordered by (from, to); a
+    # file listed as its own partner keeps that cell, which no measure uses
+    pair_from: np.ndarray  # int64 positions
+    pair_to: np.ndarray  # int64 positions
+    pair_count: np.ndarray  # int64
+    authorship: np.ndarray  # file x author incidence, bool; columns: the sorted authors
+
+    def rows(self, filenames) -> np.ndarray:
+        """Each file's position, or -1 for None and for a file absent from the history."""
+        return np.array([self.positions.get(f, -1) for f in filenames], dtype=np.int64)
+
+
+def _int64s(values: list, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise HistoryError(f"{what} does not fit in 64 bits") from None
+
+
+def _index_history(
+    file_commit_count: dict[str, int],
+    co_changes: dict[str, dict[str, int]],
+    file_authors: dict[str, frozenset[str]],
+) -> HistoryIndex:
+    """The arrays of a history's three maps.
+
+    Raises HistoryError where the maps cannot be read into the arrays exactly:
+    a co-change count that is not an int, a partner that is not counted, or a
+    count beyond int64.
+    """
+    files = sorted(file_commit_count)
+    positions = {f: i for i, f in enumerate(files)}
+    commit_counts = _int64s([file_commit_count[f] for f in files], "commit count")
+    owners: list[int] = []
+    lengths: list[int] = []
+    partners: list[str] = []
+    values: list[int] = []
+    for filename, cells in co_changes.items():
+        owners.append(positions[filename])
+        lengths.append(len(cells))
+        partners.extend(cells)
+        values.extend(cells.values())
+    if not set(map(type, values)) <= {int}:  # not bool: JSON true is no count
+        filename, other, k = next(
+            (f, o, k)
+            for f, cells in co_changes.items()
+            for o, k in cells.items()
+            if type(k) is not int
+        )
+        raise HistoryError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
+    try:
+        pair_to = np.fromiter(map(positions.__getitem__, partners), np.int64, len(partners))
+    except KeyError as exc:
+        raise HistoryError(f"co-change partner not counted: {exc.args[0]!r}") from None
+    pair_from = np.repeat(np.array(owners, dtype=np.int64), lengths)
+    pair_count = _int64s(values, "co-change count")
+    order = np.argsort(pair_from * len(files) + pair_to, kind="stable")
+    authors = sorted(set().union(*file_authors.values()))
+    columns = {a: j for j, a in enumerate(authors)}
+    per_file = [file_authors.get(f, ()) for f in files]
+    authorship = np.zeros((len(files), len(authors)), dtype=bool)
+    authorship[
+        np.repeat(np.arange(len(files)), [len(a) for a in per_file]),
+        np.fromiter(map(columns.__getitem__, chain.from_iterable(per_file)), np.int64),
+    ] = True
+    return HistoryIndex(
+        positions, commit_counts, pair_from[order], pair_to[order], pair_count[order], authorship
+    )
+
+
+def _check_co_changes(index: HistoryIndex) -> None:
+    """Every co-change count at least 1, symmetric and no larger than either file's commit count."""
+    files = list(index.positions)
+
+    def fail(message: str, cell: int):
+        pair = files[index.pair_from[cell]], files[index.pair_to[cell]]
+        raise HistoryError(f"{message}: {pair[0]!r}/{pair[1]!r}")
+
+    low = np.flatnonzero(index.pair_count < 1)
+    if low.size:
+        fail("bad co-change count", low[0])
+    keys = index.pair_from * len(files) + index.pair_to  # ascending and unique
+    mirror_keys = index.pair_to * len(files) + index.pair_from
+    # symmetric: the sorted mirror keys are the keys, and each cell's count is its mirror's
+    mirror = np.argsort(mirror_keys)
+    asymmetric = np.flatnonzero(
+        (mirror_keys[mirror] != keys) | (index.pair_count[mirror] != index.pair_count)
+    )
+    if asymmetric.size:
+        # below the first difference the two sorted key lists agree, so the smaller
+        # key there is missing from the other list: name the cell it belongs to
+        cell = asymmetric[0]
+        if mirror_keys[mirror[cell]] < keys[cell]:
+            cell = mirror[cell]
+        fail("asymmetric co-change counts", cell)
+    ceiling = np.minimum(index.commit_counts[index.pair_from], index.commit_counts[index.pair_to])
+    high = np.flatnonzero(index.pair_count > ceiling)
+    if high.size:
+        fail("co-change exceeds commit count", high[0])
+
+
 def _json_block(items: list[str], depth: int, brackets: str) -> str:
     """Encoded `items` in `brackets`, as `json.dumps(indent=2)` lays out a container at `depth`."""
     if not items:
@@ -271,7 +378,15 @@ class DevelopmentHistory:
         self.file_commit_count = dict(file_commit_count)
         self.co_changes = {f: dict(partners) for f, partners in co_changes.items()}
         self.file_authors = {f: frozenset(a) for f, a in file_authors.items()}
+        self._index: HistoryIndex | None = None
         self._entity_authors: tuple[dict, EntityAuthors] | None = None
+
+    @property
+    def index(self) -> HistoryIndex:
+        """The history as arrays: built by `from_json_dict`, or on first use."""
+        if self._index is None:
+            self._index = _index_history(self.file_commit_count, self.co_changes, self.file_authors)
+        return self._index
 
     def files(self) -> list[str]:
         return sorted(self.file_commit_count)
@@ -292,20 +407,16 @@ class DevelopmentHistory:
         empty row.  There is one column per author of the whole history.
         """
         if self._entity_authors is None or self._entity_authors[0] != entity_files:
-            authors = sorted(set().union(*self.file_authors.values()))
-            columns = {a: i for i, a in enumerate(authors)}
-            rows: dict[str, int] = {}
-            masks: dict[str, int] = {}
-            cells: list[int] = []
-            for row, (entity, filename) in enumerate(entity_files.items()):
-                rows[entity] = row
-                masks[entity] = 0
-                for author in self.file_authors.get(filename, ()):
-                    masks[entity] |= 1 << columns[author]
-                    cells.append(row * len(columns) + columns[author])
-            incidence = np.zeros((len(rows), len(columns)), dtype=np.int64)
-            incidence.flat[cells] = 1
-            self._entity_authors = (dict(entity_files), EntityAuthors(rows, incidence, masks))
+            authorship = self.index.authorship
+            positions = self.index.rows(entity_files.values())
+            incidence = np.zeros((len(positions), authorship.shape[1]), dtype=bool)
+            mapped = positions >= 0
+            incidence[mapped] = authorship[positions[mapped]]
+            bits = np.packbits(incidence, axis=1, bitorder="little")
+            rows = {entity: row for row, entity in enumerate(entity_files)}
+            masks = {e: int.from_bytes(b.tobytes(), "little") for e, b in zip(entity_files, bits)}
+            authors = EntityAuthors(rows, incidence.astype(np.int64), masks)
+            self._entity_authors = (dict(entity_files), authors)
         return self._entity_authors[1]
 
     def serialize(self) -> str:
@@ -337,6 +448,10 @@ class DevelopmentHistory:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "DevelopmentHistory":
+        """The history a parsed history.json describes, with its index.
+
+        The co-change pair checks run on the index's arrays.
+        """
         if not isinstance(raw, dict) or set(raw) != {"fileChanges", "authorship"}:
             raise HistoryError("history JSON must have fileChanges and authorship")
         changes = raw["fileChanges"]
@@ -354,21 +469,9 @@ class DevelopmentHistory:
             if type(count) is not int or count < 1:  # not bool: JSON true is no count
                 raise HistoryError(f"bad commit count for {filename!r}: {count!r}")
             counts[filename] = count
-            partners = entry["with"]
-            if not isinstance(partners, dict):
+            if not isinstance(entry["with"], dict):
                 raise HistoryError(f"bad co-change map for {filename!r}")
-            for other, k in partners.items():
-                if type(k) is not int or k < 1:
-                    raise HistoryError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
-            co[filename] = dict(partners)
-        for filename, partners in co.items():
-            for other, k in partners.items():
-                if other not in counts:
-                    raise HistoryError(f"co-change partner not counted: {other!r}")
-                if co.get(other, {}).get(filename) != k:
-                    raise HistoryError(f"asymmetric co-change counts: {filename!r}/{other!r}")
-                if k > min(counts[filename], counts[other]):
-                    raise HistoryError(f"co-change exceeds commit count: {filename!r}/{other!r}")
+            co[filename] = entry["with"]
         authors: dict[str, frozenset[str]] = {}
         for filename, names in authorship.items():
             if (
@@ -378,7 +481,11 @@ class DevelopmentHistory:
             ):
                 raise HistoryError(f"bad author list for {filename!r}")
             authors[filename] = frozenset(names)
-        return cls(counts, co, authors)
+        index = _index_history(counts, co, authors)
+        _check_co_changes(index)
+        history = cls(counts, co, authors)
+        history._index = index
+        return history
 
     @classmethod
     def parse(cls, text: str) -> "DevelopmentHistory":

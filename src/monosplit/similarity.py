@@ -83,10 +83,8 @@ def map_entities_to_files(
 
 def _row_shares(shared: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Each row of shared counts over that row's total; rows with a zero total stay zero."""
-    out = np.zeros(shared.shape)
-    nonzero = totals > 0
-    out[nonzero] = shared[nonzero] / totals[nonzero, None]
-    return out
+    column = totals[:, None]
+    return np.divide(shared, column, out=np.zeros(shared.shape), where=column > 0)
 
 
 def _mode_matrix(incidence: np.ndarray) -> np.ndarray:
@@ -107,31 +105,26 @@ def _sequence_matrix(steps: np.ndarray) -> np.ndarray:
 
 
 def _commit_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
-    """Share of entity i's logical commits that also touched entity j's file."""
-    n = len(entities)
-    files = [entity_files[e] for e in entities]
-    slots: dict[str, list[int]] = {}
-    for j, filename in enumerate(files):
-        if filename is not None:
-            slots.setdefault(filename, []).append(j)
-    cells: list[int] = []
-    counts: list[int] = []
-    totals = [0] * n
-    for i, filename in enumerate(files):
-        if filename is None:
-            continue
-        totals[i] = history.commit_count(filename)
-        for j in slots[filename]:
-            cells.append(i * n + j)
-            counts.append(totals[i])
-        for other, together in history.co_changes.get(filename, {}).items():
-            if other != filename:
-                for j in slots.get(other, ()):
-                    cells.append(i * n + j)
-                    counts.append(together)
-    shared = np.zeros((n, n), dtype=np.int64)
-    shared.flat[cells] = counts
-    return _row_shares(shared, np.array(totals, dtype=np.int64))
+    """Share of entity i's logical commits that also touched entity j's file.
+
+    Entities mapped to None or to a file absent from the history get an empty row
+    and column.  Entities mapped to one file share all their commits.
+    """
+    index = history.index
+    positions = index.rows([entity_files[e] for e in entities])
+    used, local = np.unique(positions, return_inverse=True)
+    # slot of each file in use; -1, no file, sorts first and shares no commits, and
+    # its slot[-1] is a spare last cell no co-change cell reads
+    slot = np.full(len(index.positions) + 1, -1)
+    slot[used] = np.arange(len(used))
+    a, b = slot[index.pair_from], slot[index.pair_to]
+    cells = (a >= 0) & (b >= 0)
+    between = np.zeros((len(used), len(used)), dtype=np.int64)
+    between[a[cells], b[cells]] = index.pair_count[cells]
+    # written last: a file listed as its own partner shares all its commits with itself
+    np.fill_diagonal(between, np.append(index.commit_counts, 0)[used])
+    shared = between[np.ix_(local, local)]
+    return _row_shares(shared, np.diag(shared))
 
 
 def _author_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:

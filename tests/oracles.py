@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations for cross-checking the package.
 
-Everything here shares no code with the package internals, and all but
-`scan_upgma` works on plain dicts/lists with naive loops; that one is the
-package's former numpy clustering kernel, kept to referee the current one bit
-for bit.  Traces are dicts name -> [(entity, mode), ...]; commits are lists of
-(author, set_of_files).
+Everything here shares no code with the package internals, and most of it
+works on plain dicts/lists with naive loops.  The exceptions are the package's
+former code, kept to referee its replacement bit for bit: `scan_upgma`, the
+former numpy clustering kernel, and the former dict-walking history loader and
+history measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
+`author_matrix`).  Traces are dicts name -> [(entity, mode), ...]; commits are
+lists of (author, set_of_files).
 """
 
 import json
@@ -307,3 +309,120 @@ def scan_upgma(matrix):
         rights.append(right)
         heights.append(height)
     return list(zip(lefts, rights, heights))
+
+
+def history_from_json_dict(raw):
+    """The package's former history.json validator, which walked the dicts pair by pair.
+
+    Verbatim but for two edits: it raises ValueError where the package raises
+    HistoryError, and it returns the three maps (commit counts, co-changes,
+    author sets) where the package built the history.
+    """
+    if not isinstance(raw, dict) or set(raw) != {"fileChanges", "authorship"}:
+        raise ValueError("history JSON must have fileChanges and authorship")
+    changes = raw["fileChanges"]
+    authorship = raw["authorship"]
+    if not isinstance(changes, dict) or not isinstance(authorship, dict):
+        raise ValueError("fileChanges and authorship must be objects")
+    if set(changes) != set(authorship):
+        raise ValueError("fileChanges and authorship must cover the same files")
+    counts: dict[str, int] = {}
+    co: dict[str, dict[str, int]] = {}
+    for filename, entry in changes.items():
+        if not isinstance(entry, dict) or set(entry) != {"count", "with"}:
+            raise ValueError(f"bad fileChanges entry for {filename!r}")
+        count = entry["count"]
+        if type(count) is not int or count < 1:  # not bool: JSON true is no count
+            raise ValueError(f"bad commit count for {filename!r}: {count!r}")
+        counts[filename] = count
+        partners = entry["with"]
+        if not isinstance(partners, dict):
+            raise ValueError(f"bad co-change map for {filename!r}")
+        for other, k in partners.items():
+            if type(k) is not int or k < 1:
+                raise ValueError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
+        co[filename] = dict(partners)
+    for filename, partners in co.items():
+        for other, k in partners.items():
+            if other not in counts:
+                raise ValueError(f"co-change partner not counted: {other!r}")
+            if co.get(other, {}).get(filename) != k:
+                raise ValueError(f"asymmetric co-change counts: {filename!r}/{other!r}")
+            if k > min(counts[filename], counts[other]):
+                raise ValueError(f"co-change exceeds commit count: {filename!r}/{other!r}")
+    authors: dict[str, frozenset[str]] = {}
+    for filename, names in authorship.items():
+        if (
+            not isinstance(names, list)
+            or not names
+            or not all(isinstance(a, str) and a for a in names)
+        ):
+            raise ValueError(f"bad author list for {filename!r}")
+        authors[filename] = frozenset(names)
+    return counts, co, authors
+
+
+def row_shares(shared, totals):
+    """Each row of shared counts over that row's total; rows with a zero total stay zero."""
+    out = np.zeros(shared.shape)
+    nonzero = totals > 0
+    out[nonzero] = shared[nonzero] / totals[nonzero, None]
+    return out
+
+
+def entity_authors(file_authors, entity_files):
+    """The package's former entity x author incidence loop: (rows, incidence, masks)."""
+    authors = sorted(set().union(*file_authors.values()))
+    columns = {a: i for i, a in enumerate(authors)}
+    rows: dict[str, int] = {}
+    masks: dict[str, int] = {}
+    cells: list[int] = []
+    for row, (entity, filename) in enumerate(entity_files.items()):
+        rows[entity] = row
+        masks[entity] = 0
+        for author in file_authors.get(filename, ()):
+            masks[entity] |= 1 << columns[author]
+            cells.append(row * len(columns) + columns[author])
+    incidence = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    incidence.flat[cells] = 1
+    return rows, incidence, masks
+
+
+def commit_matrix(entities, history, entity_files):
+    """The package's former commit measure loop, over the history's dicts.
+
+    An entity mapped to a file the history lacks raises the history's
+    `commit_count` error.
+    """
+    n = len(entities)
+    files = [entity_files[e] for e in entities]
+    slots: dict[str, list[int]] = {}
+    for j, filename in enumerate(files):
+        if filename is not None:
+            slots.setdefault(filename, []).append(j)
+    cells: list[int] = []
+    counts: list[int] = []
+    totals = [0] * n
+    for i, filename in enumerate(files):
+        if filename is None:
+            continue
+        totals[i] = history.commit_count(filename)
+        for j in slots[filename]:
+            cells.append(i * n + j)
+            counts.append(totals[i])
+        for other, together in history.co_changes.get(filename, {}).items():
+            if other != filename:
+                for j in slots.get(other, ()):
+                    cells.append(i * n + j)
+                    counts.append(together)
+    shared = np.zeros((n, n), dtype=np.int64)
+    shared.flat[cells] = counts
+    return row_shares(shared, np.array(totals, dtype=np.int64))
+
+
+def author_matrix(entities, history, entity_files):
+    """The package's former author measure: EA EA' over row sizes, EA from `entity_authors`."""
+    rows, incidence, _ = entity_authors(history.file_authors, entity_files)
+    incidence = incidence[[rows[e] for e in entities]]
+    shared = incidence @ incidence.T
+    return row_shares(shared, np.diag(shared))

@@ -1,6 +1,9 @@
 """Seeded random models and histories shared by tests."""
 
 import json
+from itertools import combinations
+
+from hypothesis import strategies as st
 
 from monosplit import LogicalCommit, build_history_representation, load_access_model
 
@@ -68,3 +71,26 @@ def partition_masks(entities, clusters):
     """Clusters of entity names as member masks, bit i standing for entities[i], in cluster order."""
     bits = {entity: i for i, entity in enumerate(entities)}
     return tuple(sum(1 << bits[entity] for entity in cluster) for cluster in clusters)
+
+
+# names that json.dumps escapes: quote, backslash, control characters, non-ASCII and astral
+NAME = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def history_parts(draw):
+    """Counts, symmetric co-changes and author sets; some files have no partners at all."""
+    files = draw(st.lists(NAME, unique=True, max_size=8))
+    counts = {f: draw(st.integers(1, 50)) for f in files}
+    co: dict[str, dict[str, int]] = {f: {} for f in files if draw(st.booleans())}
+    for a, b in combinations(files, 2):
+        if draw(st.booleans()):
+            k = draw(st.integers(1, min(counts[a], counts[b])))
+            co.setdefault(a, {})[b] = k
+            co.setdefault(b, {})[a] = k
+    authors = {f: frozenset(draw(st.lists(NAME, min_size=1, max_size=4))) for f in files}
+    return counts, co, authors

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from monosplit import (
@@ -16,7 +17,7 @@ from monosplit import (
     size_split,
     welch_test,
 )
-from monosplit.analysis import METRIC_COLUMNS, quantile
+from monosplit.analysis import METRIC_COLUMNS, quartiles
 
 import oracles
 
@@ -105,25 +106,26 @@ def test_welch_allows_one_flat_sample():
 
 
 def test_quantile_linear_interpolation_examples():
-    assert quantile([1, 2, 3], 0.5) == 2.0
-    assert quantile([1, 2, 3, 4], 0.5) == pytest.approx(2.5)
-    assert quantile([1, 2, 3, 4], 0.25) == pytest.approx(1.75)
-    assert quantile([1, 2, 3, 4], 0.75) == pytest.approx(3.25)
+    assert quartiles([1, 2, 3]) == (1.5, 2.0, 2.5)
+    assert quartiles([1, 2, 3, 4]) == pytest.approx((1.75, 2.5, 3.25))
+    assert quartiles([7]) == (7.0, 7.0, 7.0)
 
 
 def test_quantile_rejects_empty_sample():
     with pytest.raises(StatsError, match="empty"):
-        quantile([], 0.5)
+        quartiles([])
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_quantile_matches_sorted_order_oracle(seed):
     rng = random.Random(seed)
     values = [rng.uniform(-5, 5) for _ in range(rng.randint(1, 40))]
-    for fraction in (0.0, 0.25, 0.5, 0.75, 1.0, rng.random()):
-        assert quantile(values, fraction) == pytest.approx(
-            oracles.quantile_measure(values, fraction), abs=1e-12
-        )
+    expected = [oracles.quantile_measure(values, fraction) for fraction in (0.25, 0.5, 0.75)]
+    assert quartiles(values) == pytest.approx(expected, abs=1e-12)
+    # one call over the three fractions gives the bits of three single-fraction calls
+    assert quartiles(values) == tuple(
+        float(np.quantile(values, fraction, method="linear")) for fraction in (0.25, 0.5, 0.75)
+    )
 
 
 # ------------------------------------------------------------------- fixtures

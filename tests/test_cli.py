@@ -393,6 +393,10 @@ def test_analyze_bad_stats_file_is_usage_error(tmp_path, capsys):
         (header + "a,-1,3\nb,5,6\n", bad_count),
         (header + "a,1,3\nb,5,-0.5\n", bad_count),
         (header + "a,1,3\nb,5,6\na,7,8\n", "codebase listed twice: 'a'"),
+        (header + ",5,6\nb,5,6\n", "codebase name empty or padded with spaces"),
+        (header + " a,7,8\nb,5,6\n", "codebase name empty or padded with spaces"),
+        (header + "a ,7,8\nb,5,6\n", "codebase name empty or padded with spaces"),
+        (header + "b,5,6\n a ,7,8\n", "codebase name empty or padded with spaces"),
     ]
     for text, message in cases:
         stats.write_text(text, encoding="utf-8")

@@ -3,7 +3,6 @@
 import json
 import random
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +23,7 @@ from monosplit import (
     resolve_renames,
 )
 from monosplit.history import ADD, DELETE, MODIFY, RENAME, ChangeEvent, drop_oversized_commits
+from synth import NAME, history_parts
 
 SIMPLE_LOG = (
     "commit\th2\t2000\tBig.Dev@Example.COM\n"
@@ -293,33 +293,19 @@ def test_mining_is_deterministic():
     assert mine_history(text).serialize() == mine_history(text).serialize()
 
 
+def test_mining_leaves_the_index_unbuilt():
+    history = mine_history(log_fixture("bundling.log"))
+    history.serialize()
+    assert history._index is None  # built on first use; `mine` has none
+    assert history.index.commit_counts.tolist() == [
+        history.file_commit_count[f] for f in history.files()
+    ]
+
+
 def test_serialize_parse_round_trip():
     history = mine_history(log_fixture("bundling.log"))
     reparsed = DevelopmentHistory.parse(history.serialize())
     assert reparsed.serialize() == history.serialize()
-
-
-# names that json.dumps escapes: quote, backslash, control characters, non-ASCII and astral
-_NAME = st.text(
-    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\U0001f600'), st.characters()),
-    min_size=1,
-    max_size=8,
-)
-
-
-@st.composite
-def history_parts(draw):
-    """Counts, symmetric co-changes and author sets; some files have no partners at all."""
-    files = draw(st.lists(_NAME, unique=True, max_size=8))
-    counts = {f: draw(st.integers(1, 50)) for f in files}
-    co: dict[str, dict[str, int]] = {f: {} for f in files if draw(st.booleans())}
-    for a, b in combinations(files, 2):
-        if draw(st.booleans()):
-            k = draw(st.integers(1, min(counts[a], counts[b])))
-            co.setdefault(a, {})[b] = k
-            co.setdefault(b, {})[a] = k
-    authors = {f: frozenset(draw(st.lists(_NAME, min_size=1, max_size=4))) for f in files}
-    return counts, co, authors
 
 
 @given(history_parts())
@@ -347,6 +333,97 @@ def test_malformed_history_json_rejected(mutate):
     mutate(raw)
     with pytest.raises(HistoryError):
         DevelopmentHistory.from_json_dict(raw)
+
+
+# counts the loader must reject, and ints beyond int64, which the former loader took
+_ODD_COUNTS = st.sampled_from(
+    [True, False, None, 1.0, 1.5, "1", [1], 0, -1, 2**63, 2**64, -(2**63) - 1]
+)
+
+
+@st.composite
+def edited_documents(draw):
+    """A valid history.json document, then up to three edits, each of which may break it."""
+    raw = json.loads(oracles.history_json(*draw(history_parts())))
+    changes, authorship = raw["fileChanges"], raw["authorship"]
+
+    def count(filename):  # a usable commit count, even after an edit spoiled it
+        value = changes[filename]["count"]
+        return value if type(value) is int and value >= 1 else 1
+
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(
+            st.sampled_from(
+                ["partner", "asymmetric", "above", "value", "count", "self", "huge", "empty"]
+            )
+        )
+        if edit == "empty":
+            emptied = draw(
+                st.sampled_from(["fileChanges", "authorship", "both", "with", "authors"])
+            )
+            if emptied in ("fileChanges", "both"):
+                changes.clear()
+            if emptied in ("authorship", "both"):
+                authorship.clear()
+            if emptied in ("with", "authors") and changes and authorship:
+                filename = draw(st.sampled_from(sorted(changes)))
+                if emptied == "with":
+                    changes[filename]["with"] = {}
+                else:
+                    authorship[filename] = []
+            continue
+        if not changes:
+            continue
+        a = draw(st.sampled_from(sorted(changes)))
+        b = draw(st.sampled_from(sorted(changes)))
+        if edit == "partner":  # a partner that has no entry of its own
+            ghost = draw(NAME.filter(lambda name: name not in changes))
+            changes[a]["with"][ghost] = draw(st.integers(1, 5))
+        elif edit == "asymmetric":  # one side only; it may happen to match the other
+            changes[a]["with"][b] = draw(st.integers(1, 50))
+        elif edit == "above":  # symmetric, at or one above the smaller commit count
+            k = min(count(a), count(b)) + draw(st.integers(0, 1))
+            changes[a]["with"][b] = changes[b]["with"][a] = k
+        elif edit == "value":
+            changes[a]["with"][b] = changes[b]["with"][a] = draw(_ODD_COUNTS)
+        elif edit == "count":
+            changes[a]["count"] = draw(_ODD_COUNTS)
+        elif edit == "self":
+            changes[a]["with"][a] = draw(st.integers(1, count(a) + 1))
+        else:  # huge: a consistent pair whose counts int64 cannot hold
+            changes[a]["count"] = changes[b]["count"] = 2**63 + draw(st.integers(0, 3))
+            changes[a]["with"][b] = changes[b]["with"][a] = 2**63
+    return raw
+
+
+def _beyond_int64(raw) -> bool:
+    counts = [entry["count"] for entry in raw["fileChanges"].values()]
+    counts += [k for entry in raw["fileChanges"].values() for k in entry["with"].values()]
+    return any(type(k) is int and not -(2**63) <= k < 2**63 for k in counts)
+
+
+@given(edited_documents())
+@example({"fileChanges": {}, "authorship": {}})
+@settings(max_examples=400, deadline=None)
+def test_loader_rejects_exactly_what_the_former_loader_rejects(raw):
+    try:
+        expected = oracles.history_from_json_dict(raw)
+    except ValueError:
+        expected = None
+    if expected is None or _beyond_int64(raw):  # the loader now also rejects those
+        with pytest.raises(HistoryError):
+            DevelopmentHistory.from_json_dict(raw)
+        return
+    history = DevelopmentHistory.from_json_dict(raw)
+    assert (history.file_commit_count, history.co_changes, history.file_authors) == expected
+    index = history.index
+    files = list(index.positions)
+    assert files == sorted(expected[0])
+    assert index.commit_counts.tolist() == [expected[0][f] for f in files]
+    cells = zip(index.pair_from.tolist(), index.pair_to.tolist(), index.pair_count.tolist())
+    assert {(files[a], files[b]): k for a, b, k in cells} == {
+        (a, b): k for a, partners in expected[1].items() for b, k in partners.items()
+    }
 
 
 @st.composite

@@ -6,11 +6,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from monosplit import (
+    DevelopmentHistory,
     SimilarityError,
     SimilarityMatrix,
     Weights,
@@ -18,8 +19,14 @@ from monosplit import (
     load_access_model,
     map_entities_to_files,
 )
-from monosplit.similarity import MEASURE_NAMES, blend, measure_matrices
-from synth import commits_to_history, random_commits, random_traces, to_model
+from monosplit.similarity import (
+    MEASURE_NAMES,
+    _author_matrix,
+    _commit_matrix,
+    blend,
+    measure_matrices,
+)
+from synth import NAME, commits_to_history, history_parts, random_commits, random_traces, to_model
 
 THREE_SHARED = {
     "f1": [["e1", "R"]],
@@ -117,6 +124,63 @@ def test_history_matrices_of_entities_sharing_a_file(small_history):
         assert matrix[a, a2] == matrix[a2, a] == 1.0
         assert matrix[a2, c] == matrix[a, c] == oracle(COMMITS, "src/A.java", "src/C.java")
         assert matrix[c, a2] == matrix[c, a] == oracle(COMMITS, "src/C.java", "src/A.java")
+
+
+@st.composite
+def mapped_histories(draw):
+    """A random history and entities mapped to its files, to None or to a file it lacks.
+
+    Some files list themselves as a partner, a cell the commit measure skips.
+    """
+    parts = draw(history_parts())
+    counts, co_changes, _ = parts
+    for filename in sorted(counts):
+        if draw(st.booleans()):
+            co_changes.setdefault(filename, {})[filename] = draw(st.integers(1, counts[filename]))
+    absent = draw(NAME.filter(lambda name: name not in parts[0]))
+    targets = [*sorted(parts[0]), None, absent]
+    entities = [f"E{i}" for i in range(draw(st.integers(1, 8)))]
+    return parts, entities, {e: draw(st.sampled_from(targets)) for e in entities}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_SHARED = (
+    {"a.java": 3, "b.java": 2},
+    {"a.java": {"b.java": 2}, "b.java": {"a.java": 2}},
+    {"a.java": frozenset({"x", "y"}), "b.java": frozenset({"y"})},
+)
+
+
+@given(mapped_histories(), st.booleans())
+@example(
+    (_SHARED, ["A", "A2", "B", "N"], {"A": "a.java", "A2": "a.java", "B": "b.java", "N": None}),
+    True,
+)
+@settings(max_examples=300, deadline=None)
+def test_history_measures_equal_the_former_loops(case, parsed):
+    parts, entities, entity_files = case
+    if parsed:  # the loader builds the index while it validates; otherwise it is built on first use
+        history = DevelopmentHistory.parse(oracles.history_json(*parts))
+    else:
+        history = DevelopmentHistory(*parts)
+    rows, incidence, masks = oracles.entity_authors(history.file_authors, entity_files)
+    authors = history.entity_authors(entity_files)
+    assert authors.rows == rows
+    assert authors.masks == masks
+    assert _same_bits(authors.incidence, incidence)
+    assert _same_bits(
+        _author_matrix(entities, history, entity_files),
+        oracles.author_matrix(entities, history, entity_files),
+    )
+    # the former loop raised on a file the history lacks; such an entity now reads as unmapped
+    known = {e: f if f is None or history.has_file(f) else None for e, f in entity_files.items()}
+    assert _same_bits(
+        _commit_matrix(entities, history, entity_files),
+        oracles.commit_matrix(entities, history, known),
+    )
 
 
 def test_weights_validation():

@@ -268,6 +268,32 @@ def test_parallel_sweep_matches_serial(small_sweep):
     assert parallel_rows == rows
 
 
+@pytest.fixture(scope="module")
+def wide_sweep_csv():
+    model, history, files = _setup(7, n_entities=22)
+    rows, failures = run_sweep(model, history, files, "demo", step=20)
+    assert failures == []
+    return model, history, files, write_results_csv(rows)
+
+
+# stack sizes in matrices on the 252-vector step-20 grid, and how many stacks of one
+# matrix go to `agglomerate`
+@pytest.mark.parametrize("matrices, single", [(1, 252), (3, 0), (251, 1), (252, 0)])
+def test_sweep_csv_does_not_depend_on_the_stack_size(monkeypatch, wide_sweep_csv, matrices, single):
+    import monosplit.sweep as sweep_module
+
+    model, history, files, expected = wide_sweep_csv
+    calls = []
+    monkeypatch.setattr(sweep_module, "_STACK_BYTES", matrices * 8 * len(model.entities) ** 2)
+    monkeypatch.setattr(
+        sweep_module, "agglomerate", lambda matrix: calls.append(1) or agglomerate(matrix)
+    )
+    rows, failures = run_sweep(model, history, files, "demo", step=20)
+    assert failures == []
+    assert write_results_csv(rows) == expected
+    assert len(calls) == single
+
+
 def test_sweep_rejects_bad_parallelism(small_sweep):
     model, history, files, _, _ = small_sweep
     with pytest.raises(SweepError, match="parallelism"):
@@ -450,6 +476,26 @@ def test_sweep_output_is_deterministic():
             ",".join(CSV_COLUMNS)
             + "\ndemo,3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,inf\n",
             "non-finite metric",
+        ),
+        *(
+            (",".join(CSV_COLUMNS) + f"\ndemo,{row}\n", "integer cells must be ASCII digits")
+            for row in (
+                "3,1_0,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "+3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "3,10,20,30,40,0, 0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "3,10,20,30,40,0,0 ,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "\u0663,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "3,10,20,30,4\uff10,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+                "3,-10,20,30,40,20,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875",
+            )
+        ),
+        *(
+            (",".join(CSV_COLUMNS) + f"\ndemo,{row}\n", "malformed metric cell")
+            for row in (
+                "3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.2_5,0.5,0.3875",
+                "3,10,20,30,40,0,0,SEQUENCES_ONLY, 0.1,0.2,0.25,0.5,0.3875",
+                "3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875\t",
+            )
         ),
     ],
 )
