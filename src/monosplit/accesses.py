@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -16,18 +15,6 @@ _MODES = (READ, WRITE)
 
 class AccessModelError(ValueError):
     """Malformed access description."""
-
-
-@dataclass(frozen=True)
-class Access:
-    entity: str
-    mode: str  # READ or WRITE
-
-
-@dataclass(frozen=True)
-class Functionality:
-    name: str
-    trace: tuple[Access, ...]  # ordered, consecutive duplicates preserved
 
 
 @dataclass(frozen=True)
@@ -45,51 +32,45 @@ class Incidence:
     singletons_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
 
 
+@dataclass(frozen=True)
 class AccessModel:
-    """All functionalities of one monolith plus their incidence arrays.
+    """All functionalities of one monolith and their incidence arrays.
 
     The entity set is derived: exactly the names appearing in traces.
     """
 
-    def __init__(self, functionalities: list[Functionality]):
-        self.functionalities: tuple[Functionality, ...] = tuple(functionalities)
-        names = [f.name for f in self.functionalities]
-        if len(set(names)) != len(names):
-            raise AccessModelError("duplicate functionality name")
-        self.entities: tuple[str, ...] = tuple(
-            sorted({a.entity for f in self.functionalities for a in f.trace})
-        )
+    functionalities: tuple[str, ...]  # names, in input order
+    entities: tuple[str, ...]  # sorted
+    incidence: Incidence
 
-    @cached_property
-    def incidence(self) -> Incidence:
-        """Read, write and step-count arrays, built on first use."""
-        n = len(self.entities)
-        column = {e: i for i, e in enumerate(self.entities)}
-        cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
-        step_cells: list[int] = []  # from * n + to, once per step
-        for row, funct in enumerate(self.functionalities):
-            path = [column[a.entity] for a in funct.trace]
-            for access, entity in zip(funct.trace, path):
-                cells[access.mode].append(row * n + entity)
-            step_cells.extend(a * n + b for a, b in zip(path, path[1:]))
-        read = np.zeros((len(self.functionalities), n), dtype=np.int64)
-        write = np.zeros_like(read)
-        read.flat[cells[READ]] = 1
-        write.flat[cells[WRITE]] = 1
-        step_index = np.array(step_cells, dtype=np.intp)
-        steps = np.bincount(step_index, minlength=n * n).reshape(n, n)
-        # np.nonzero(steps), without scanning all n * n cells
-        step_from, step_to = np.divmod(np.unique(step_index), n)
-        # A functionality touching two entities is split by the all-singletons
-        # decomposition; each of its distinct (entity, mode) accesses costs one
-        # per other such functionality touching that entity in any mode.
-        touch = read | write
-        distributed = touch.sum(axis=1) >= 2
-        touchers = touch[distributed].sum(axis=0)
-        accesses = (read + write)[distributed].sum(axis=0)
-        return Incidence(
-            read, write, touch, steps, step_from, step_to, int(accesses @ (touchers - 1))
-        )
+
+def _incidence(traces: list[list], entities: tuple[str, ...]) -> Incidence:
+    """Read, write and step-count arrays of validated traces of [entity, mode] steps."""
+    n = len(entities)
+    column = {e: i for i, e in enumerate(entities)}
+    cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
+    step_cells: list[int] = []  # from * n + to, once per step
+    for row, trace in enumerate(traces):
+        path = [column[entity] for entity, _ in trace]
+        for (_, mode), entity in zip(trace, path):
+            cells[mode].append(row * n + entity)
+        step_cells.extend(a * n + b for a, b in zip(path, path[1:]))
+    read = np.zeros((len(traces), n), dtype=np.int64)
+    write = np.zeros_like(read)
+    read.flat[cells[READ]] = 1
+    write.flat[cells[WRITE]] = 1
+    step_index = np.array(step_cells, dtype=np.intp)
+    steps = np.bincount(step_index, minlength=n * n).reshape(n, n)
+    # np.nonzero(steps), without scanning all n * n cells
+    step_from, step_to = np.divmod(np.unique(step_index), n)
+    # A functionality touching two entities is split by the all-singletons
+    # decomposition; each of its distinct (entity, mode) accesses costs one
+    # per other such functionality touching that entity in any mode.
+    touch = read | write
+    distributed = touch.sum(axis=1) >= 2
+    touchers = touch[distributed].sum(axis=0)
+    accesses = (read + write)[distributed].sum(axis=0)
+    return Incidence(read, write, touch, steps, step_from, step_to, int(accesses @ (touchers - 1)))
 
 
 def _reject_duplicate_keys(pairs):
@@ -109,13 +90,11 @@ def load_access_model(text: str) -> AccessModel:
         raise AccessModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise AccessModelError("top level must be an object of functionalities")
-    functionalities = []
     for name, trace in raw.items():
-        if not isinstance(name, str) or not name:
+        if not name:
             raise AccessModelError("empty functionality name")
         if not isinstance(trace, list):
             raise AccessModelError(f"trace of {name!r} must be a list")
-        accesses = []
         for step in trace:
             if not isinstance(step, list) or len(step) != 2:
                 raise AccessModelError(f"access in {name!r} must be an [entity, mode] pair")
@@ -124,6 +103,6 @@ def load_access_model(text: str) -> AccessModel:
                 raise AccessModelError(f"bad entity name in {name!r}: {entity!r}")
             if mode not in _MODES:
                 raise AccessModelError(f"bad access mode in {name!r}: {mode!r}")
-            accesses.append(Access(entity, mode))
-        functionalities.append(Functionality(name, tuple(accesses)))
-    return AccessModel(functionalities)
+    traces = list(raw.values())
+    entities = tuple(sorted({entity for trace in traces for entity, _ in trace}))
+    return AccessModel(tuple(raw), entities, _incidence(traces, entities))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import re
 import subprocess
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
@@ -242,33 +243,6 @@ def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> lis
     return bundles
 
 
-@dataclass(frozen=True)
-class EntityAuthors:
-    """Entity x author incidence EA of one entity-to-file mapping; columns: sorted authors."""
-
-    rows: dict[str, int]  # every entity of the mapping -> its row of EA
-    incidence: np.ndarray  # EA, int64: 1 where the entity's file has the author
-    masks: dict[str, int]  # every entity of the mapping -> its row of EA as bits, column j at bit j
-
-
-@dataclass(frozen=True)
-class HistoryIndex:
-    """A history as arrays over its counted files in sorted order, built once per history."""
-
-    positions: dict[str, int]  # counted file -> its position; the keys are in sorted order
-    commit_counts: np.ndarray  # int64: each file's commit count, by position
-    # the co-change cells, one per (file, partner) entry, ordered by (from, to); a
-    # file listed as its own partner keeps that cell, which no measure uses
-    pair_from: np.ndarray  # int64 positions
-    pair_to: np.ndarray  # int64 positions
-    pair_count: np.ndarray  # int64
-    authorship: np.ndarray  # file x author incidence, bool; columns: the sorted authors
-
-    def rows(self, filenames) -> np.ndarray:
-        """Each file's position, or -1 for None and for a file absent from the history."""
-        return np.array([self.positions.get(f, -1) for f in filenames], dtype=np.int64)
-
-
 def _int64s(values: list, what: str) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
@@ -276,17 +250,12 @@ def _int64s(values: list, what: str) -> np.ndarray:
         raise HistoryError(f"{what} does not fit in 64 bits") from None
 
 
-def _index_history(
+def _read_maps(
     file_commit_count: dict[str, int],
     co_changes: dict[str, dict[str, int]],
-    file_authors: dict[str, frozenset[str]],
-) -> HistoryIndex:
-    """The arrays of a history's three maps.
-
-    Raises HistoryError where the maps cannot be read into the arrays exactly:
-    a co-change count that is not an int, a partner that is not counted, or a
-    count beyond int64.
-    """
+    file_authors: dict[str, list[str]],
+) -> tuple:
+    """The fields of `DevelopmentHistory.from_maps`, before the pair checks."""
     files = sorted(file_commit_count)
     positions = {f: i for i, f in enumerate(files)}
     commit_counts = _int64s([file_commit_count[f] for f in files], "commit count")
@@ -322,135 +291,186 @@ def _index_history(
         np.repeat(np.arange(len(files)), [len(a) for a in per_file]),
         np.fromiter(map(columns.__getitem__, chain.from_iterable(per_file)), np.int64),
     ] = True
-    return HistoryIndex(
-        positions, commit_counts, pair_from[order], pair_to[order], pair_count[order], authorship
+    return (
+        positions,
+        commit_counts,
+        pair_from[order],
+        pair_to[order],
+        pair_count[order],
+        tuple(authors),
+        authorship,
     )
-
-
-def _check_co_changes(index: HistoryIndex) -> None:
-    """Every co-change count at least 1, symmetric and no larger than either file's commit count."""
-    files = list(index.positions)
-
-    def fail(message: str, cell: int):
-        pair = files[index.pair_from[cell]], files[index.pair_to[cell]]
-        raise HistoryError(f"{message}: {pair[0]!r}/{pair[1]!r}")
-
-    low = np.flatnonzero(index.pair_count < 1)
-    if low.size:
-        fail("bad co-change count", low[0])
-    keys = index.pair_from * len(files) + index.pair_to  # ascending and unique
-    mirror_keys = index.pair_to * len(files) + index.pair_from
-    # symmetric: the sorted mirror keys are the keys, and each cell's count is its mirror's
-    mirror = np.argsort(mirror_keys)
-    asymmetric = np.flatnonzero(
-        (mirror_keys[mirror] != keys) | (index.pair_count[mirror] != index.pair_count)
-    )
-    if asymmetric.size:
-        # below the first difference the two sorted key lists agree, so the smaller
-        # key there is missing from the other list: name the cell it belongs to
-        cell = asymmetric[0]
-        if mirror_keys[mirror[cell]] < keys[cell]:
-            cell = mirror[cell]
-        fail("asymmetric co-change counts", cell)
-    ceiling = np.minimum(index.commit_counts[index.pair_from], index.commit_counts[index.pair_to])
-    high = np.flatnonzero(index.pair_count > ceiling)
-    if high.size:
-        fail("co-change exceeds commit count", high[0])
 
 
 def _json_block(items: list[str], depth: int, brackets: str) -> str:
-    """Encoded `items` in `brackets`, as `json.dumps(indent=2)` lays out a container at `depth`."""
+    """Encoded `items` in `brackets`, as `json.dumps(indent=2)` lays out a container at `depth`.
+
+    Built by one join, so a block costs its items and its text, not more copies.
+    """
     if not items:
         return brackets
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+    pieces = [brackets[0] + inner + items[0], *items[1:]]
+    pieces[-1] += "\n" + "  " * depth + brackets[1]
+    return ("," + inner).join(pieces)
 
 
+@dataclass(frozen=True)
 class DevelopmentHistory:
-    """Per-file commit counts, pairwise co-change counts and author sets."""
+    """Per-file commit counts, pairwise co-change counts and author sets, as arrays.
 
-    def __init__(
-        self,
-        file_commit_count: dict[str, int],
-        co_changes: dict[str, dict[str, int]],
-        file_authors: dict[str, frozenset[str]],
-    ):
-        self.file_commit_count = dict(file_commit_count)
-        self.co_changes = {f: dict(partners) for f, partners in co_changes.items()}
-        self.file_authors = {f: frozenset(a) for f, a in file_authors.items()}
-        self._index: HistoryIndex | None = None
-        self._entity_authors: tuple[dict, EntityAuthors] | None = None
+    Files are held in sorted order; a file's position is its index in that order.
+    """
 
-    @property
-    def index(self) -> HistoryIndex:
-        """The history as arrays: built by `from_json_dict`, or on first use."""
-        if self._index is None:
-            self._index = _index_history(self.file_commit_count, self.co_changes, self.file_authors)
-        return self._index
+    positions: dict[str, int]  # counted file -> its position; the keys are in sorted order
+    commit_counts: np.ndarray  # int64: each file's commit count, by position
+    # the co-change cells, one per (file, partner) pair of distinct files, ordered by (from, to)
+    pair_from: np.ndarray  # int64 positions
+    pair_to: np.ndarray  # int64 positions
+    pair_count: np.ndarray  # int64
+    authors: tuple[str, ...]  # every author of the history, sorted
+    authorship: np.ndarray  # file x author incidence, bool; columns: the sorted authors
 
     def files(self) -> list[str]:
-        return sorted(self.file_commit_count)
+        return list(self.positions)
 
     def has_file(self, filename: str) -> bool:
-        return filename in self.file_commit_count
+        return filename in self.positions
 
-    def commit_count(self, filename: str) -> int:
-        try:
-            return self.file_commit_count[filename]
-        except KeyError:
-            raise HistoryError(f"file absent from history: {filename!r}") from None
+    @property
+    def file_commit_count(self) -> dict[str, int]:
+        """Each file's commit count, as a new dict.
 
-    def entity_authors(self, entity_files: dict[str, str | None]) -> EntityAuthors:
-        """Authors of each entity's file, as incidence; cached for the last mapping asked.
-
-        Entities mapped to None or to a file absent from the history get an
-        empty row.  There is one column per author of the whole history.
+        Kept for `benchmark/tracing.py`, which counts the files of a mined
+        history by it.
         """
-        if self._entity_authors is None or self._entity_authors[0] != entity_files:
-            authorship = self.index.authorship
-            positions = self.index.rows(entity_files.values())
-            incidence = np.zeros((len(positions), authorship.shape[1]), dtype=bool)
-            mapped = positions >= 0
-            incidence[mapped] = authorship[positions[mapped]]
-            bits = np.packbits(incidence, axis=1, bitorder="little")
-            rows = {entity: row for row, entity in enumerate(entity_files)}
-            masks = {e: int.from_bytes(b.tobytes(), "little") for e, b in zip(entity_files, bits)}
-            authors = EntityAuthors(rows, incidence.astype(np.int64), masks)
-            self._entity_authors = (dict(entity_files), authors)
-        return self._entity_authors[1]
+        return dict(zip(self.positions, self.commit_counts.tolist()))
+
+    def _rows(self, filenames) -> np.ndarray:
+        """Each file's position, or -1 for None and for a file absent from the history."""
+        return np.array([self.positions.get(f, -1) for f in filenames], dtype=np.int64)
+
+    def shared_commits(self, filenames) -> np.ndarray:
+        """Logical commits shared by each two of the files, int64, a row and column per file given.
+
+        A file's own commit count is on the diagonal, also where two entries
+        name one file.  None and a file absent from the history get an empty row
+        and column.
+        """
+        used, local = np.unique(self._rows(filenames), return_inverse=True)
+        # slot of each file in use; -1, no file, sorts first and shares no commits, and
+        # its slot[-1] is a spare last cell no co-change cell reads
+        slot = np.full(len(self.positions) + 1, -1)
+        slot[used] = np.arange(len(used))
+        a, b = slot[self.pair_from], slot[self.pair_to]
+        cells = (a >= 0) & (b >= 0)
+        between = np.zeros((len(used), len(used)), dtype=np.int64)
+        between[a[cells], b[cells]] = self.pair_count[cells]
+        np.fill_diagonal(between, np.append(self.commit_counts, 0)[used])
+        return between[np.ix_(local, local)]
+
+    def entity_authors(self, filenames) -> np.ndarray:
+        """Author incidence of each entity's file, bool, a row per file given.
+
+        None and a file absent from the history get an empty row.  There is one
+        column per author of the whole history.
+        """
+        # -1, no file, picks the empty row appended after the last file
+        empty = np.zeros((1, len(self.authors)), dtype=bool)
+        return np.concatenate([self.authorship, empty])[self._rows(filenames)]
 
     def serialize(self) -> str:
         """The history as `json.dumps(..., indent=2, sort_keys=True)` writes it, plus a newline.
 
-        Built directly over the fixed shape: with an indent, `json.dumps` falls
-        back to its pure-Python encoder.  Names are escaped by the function
-        `json.dumps` itself escapes them with.
+        Built directly over the fixed shape, one file at a time: with an indent,
+        `json.dumps` falls back to its pure-Python encoder.  Names are escaped
+        by the function `json.dumps` itself escapes them with.
         """
         quote = encode_basestring_ascii
+        names = [quote(f) for f in self.positions]
+        author_names = [quote(a) for a in self.authors]
+        counts = self.commit_counts.tolist()
+        bounds = np.searchsorted(self.pair_from, np.arange(len(names) + 1)).tolist()
+
+        def authors(i: int) -> str:
+            row = np.flatnonzero(self.authorship[i]).tolist()
+            return f"{names[i]}: " + _json_block([author_names[j] for j in row], 2, "[]")
+
+        def changes(i: int) -> str:
+            cells = slice(bounds[i], bounds[i + 1])
+            partners = zip(self.pair_to[cells].tolist(), self.pair_count[cells].tolist())
+            block = _json_block([f"{names[p]}: {k}" for p, k in partners], 3, "{}")
+            return f'{names[i]}: {{\n      "count": {counts[i]},\n      "with": {block}\n    }}'
+
+        # each block's items are freed once the block is joined, before the next join
+        return "".join(
+            [
+                '{\n  "authorship": ',
+                _json_block([authors(i) for i in range(len(names))], 1, "{}"),
+                ',\n  "fileChanges": ',
+                _json_block([changes(i) for i in range(len(names))], 1, "{}"),
+                "\n}\n",
+            ]
+        )
+
+    @classmethod
+    def from_maps(
+        cls,
+        file_commit_count: dict[str, int],
+        co_changes: dict[str, dict[str, int]],
+        file_authors: dict[str, list[str]],
+    ) -> "DevelopmentHistory":
+        """The history of three maps: commit counts, co-changes and author names per file.
+
+        Raises HistoryError where the maps cannot be read into the arrays
+        exactly (a co-change count that is not an int, a partner that is not
+        counted, or a count beyond int64) and where the co-change cells fail
+        the pair checks.
+        """
+        # the pair checks run once the reading's temporaries are freed
+        history = cls(*_read_maps(file_commit_count, co_changes, file_authors))
+        history._check_co_changes()
+        return history
+
+    def _check_co_changes(self) -> None:
+        """Every co-change count at least 1, between distinct files, symmetric and no larger
+        than either file's commit count."""
         files = self.files()
-        changes = [
-            f'{quote(f)}: {{\n      "count": {self.file_commit_count[f]},\n      "with": '
-            + _json_block(
-                [f"{quote(p)}: {k}" for p, k in sorted(self.co_changes.get(f, {}).items())], 3, "{}"
-            )
-            + "\n    }"
-            for f in files
-        ]
-        authorship = [
-            f"{quote(f)}: " + _json_block([quote(a) for a in sorted(self.file_authors[f])], 2, "[]")
-            for f in files
-        ]
-        top = [
-            f'"authorship": {_json_block(authorship, 1, "{}")}',
-            f'"fileChanges": {_json_block(changes, 1, "{}")}',
-        ]
-        return _json_block(top, 0, "{}") + "\n"
+
+        def fail(message: str, cell: int):
+            pair = files[self.pair_from[cell]], files[self.pair_to[cell]]
+            raise HistoryError(f"{message}: {pair[0]!r}/{pair[1]!r}")
+
+        low = np.flatnonzero(self.pair_count < 1)
+        if low.size:
+            fail("bad co-change count", low[0])
+        own = np.flatnonzero(self.pair_from == self.pair_to)
+        if own.size:
+            fail("file listed as its own co-change partner", own[0])
+        keys = self.pair_from * len(files) + self.pair_to  # ascending and unique
+        mirror_keys = self.pair_to * len(files) + self.pair_from
+        # symmetric: the sorted mirror keys are the keys, and each cell's count is its mirror's
+        mirror = np.argsort(mirror_keys)
+        asymmetric = np.flatnonzero(
+            (mirror_keys[mirror] != keys) | (self.pair_count[mirror] != self.pair_count)
+        )
+        if asymmetric.size:
+            # below the first difference the two sorted key lists agree, so the smaller
+            # key there is missing from the other list: name the cell it belongs to
+            cell = asymmetric[0]
+            if mirror_keys[mirror[cell]] < keys[cell]:
+                cell = mirror[cell]
+            fail("asymmetric co-change counts", cell)
+        ceiling = np.minimum(self.commit_counts[self.pair_from], self.commit_counts[self.pair_to])
+        high = np.flatnonzero(self.pair_count > ceiling)
+        if high.size:
+            fail("co-change exceeds commit count", high[0])
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "DevelopmentHistory":
-        """The history a parsed history.json describes, with its index.
+        """The history a parsed history.json describes.
 
-        The co-change pair checks run on the index's arrays.
+        Checks the document's shape here and the co-change pairs in `from_maps`.
         """
         if not isinstance(raw, dict) or set(raw) != {"fileChanges", "authorship"}:
             raise HistoryError("history JSON must have fileChanges and authorship")
@@ -472,7 +492,6 @@ class DevelopmentHistory:
             if not isinstance(entry["with"], dict):
                 raise HistoryError(f"bad co-change map for {filename!r}")
             co[filename] = entry["with"]
-        authors: dict[str, frozenset[str]] = {}
         for filename, names in authorship.items():
             if (
                 not isinstance(names, list)
@@ -480,12 +499,9 @@ class DevelopmentHistory:
                 or not all(isinstance(a, str) and a for a in names)
             ):
                 raise HistoryError(f"bad author list for {filename!r}")
-            authors[filename] = frozenset(names)
-        index = _index_history(counts, co, authors)
-        _check_co_changes(index)
-        history = cls(counts, co, authors)
-        history._index = index
-        return history
+            if len(set(names)) != len(names):
+                raise HistoryError(f"repeated name in the author list of {filename!r}")
+        return cls.from_maps(counts, co, authorship)
 
     @classmethod
     def parse(cls, text: str) -> "DevelopmentHistory":
@@ -503,21 +519,33 @@ def build_history_representation(
     counted = [c for c in commits if len(c.files) <= max_files]
     if not counted:
         raise HistoryError("no usable history")
-    file_count: Counter = Counter()
-    co: dict[str, Counter] = defaultdict(Counter)
-    authors: dict[str, set[str]] = defaultdict(set)
+    files = sorted(set().union(*(c.files for c in counted)))
+    positions = {f: i for i, f in enumerate(files)}
+    authors = sorted({c.author for c in counted})
+    columns = {a: j for j, a in enumerate(authors)}
+    n, n_authors = len(files), len(authors)
+    authored = array("q")  # position * n_authors + author column, for each file of each commit
+    pairs = array("q")  # a * n + b for each two files a < b of one commit
     for commit in counted:
-        files = sorted(commit.files)
-        for filename in files:
-            file_count[filename] += 1
-            authors[filename].add(commit.author)
-        for file_a, file_b in combinations(files, 2):
-            co[file_a][file_b] += 1
-            co[file_b][file_a] += 1
+        ids = sorted(map(positions.__getitem__, commit.files))
+        column = columns[commit.author]
+        authored.extend([i * n_authors + column for i in ids])
+        pairs.extend([a * n + b for a, b in combinations(ids, 2)])
+    keys = np.frombuffer(pairs, dtype=np.int64)
+    first, second = np.divmod(keys, n)
+    cells, pair_count = np.unique(np.concatenate([keys, second * n + first]), return_counts=True)
+    pair_from, pair_to = np.divmod(cells, n)
+    authored_cells = np.frombuffer(authored, dtype=np.int64)
+    authorship = np.zeros((n, n_authors), dtype=bool)
+    authorship.flat[authored_cells] = True
     return DevelopmentHistory(
-        dict(file_count),
-        {f: dict(partners) for f, partners in co.items()},
-        {f: frozenset(a) for f, a in authors.items()},
+        positions,
+        np.bincount(authored_cells // n_authors, minlength=n),  # each file's commit count
+        pair_from,
+        pair_to,
+        pair_count,
+        tuple(authors),
+        authorship,
     )
 
 

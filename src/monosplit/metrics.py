@@ -8,7 +8,6 @@ import numpy as np
 
 from .accesses import AccessModel
 from .clustering import members
-from .history import EntityAuthors
 
 
 class MetricsError(ValueError):
@@ -30,11 +29,12 @@ class Scorer:
     term gives the same bits as a fresh one.
     """
 
-    def __init__(self, model: AccessModel, authors: EntityAuthors):
+    def __init__(self, model: AccessModel, authors: np.ndarray):
+        """`authors` is the entity x author incidence, bool, a row per entity of the model."""
         incidence = model.incidence
         self.n_functionalities = len(model.functionalities)
         self.ceiling = max_complexity(model)
-        self.n_authors = authors.incidence.shape[1]
+        self.n_authors = authors.shape[1]
         # Functionality f touches the entities of _touching[f].  Entity i is
         # touched by the functionalities of _touched_by[i], steps straight to
         # the entities of _targets[i] and has the authors of _authors[i].
@@ -43,7 +43,10 @@ class Scorer:
         self._targets = [0] * len(model.entities)
         for a, b in zip(incidence.step_from.tolist(), incidence.step_to.tolist()):
             self._targets[a] |= 1 << b
-        self._authors = [authors.masks.get(entity, 0) for entity in model.entities]
+        self._authors = [
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(authors, axis=1, bitorder="little")
+        ]
         # With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d,
         # a read of e by f pays w_e less f's own write of e, and a write pays r_e
         # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b).

@@ -110,27 +110,13 @@ def _commit_matrix(entities, history: DevelopmentHistory, entity_files) -> np.nd
     Entities mapped to None or to a file absent from the history get an empty row
     and column.  Entities mapped to one file share all their commits.
     """
-    index = history.index
-    positions = index.rows([entity_files[e] for e in entities])
-    used, local = np.unique(positions, return_inverse=True)
-    # slot of each file in use; -1, no file, sorts first and shares no commits, and
-    # its slot[-1] is a spare last cell no co-change cell reads
-    slot = np.full(len(index.positions) + 1, -1)
-    slot[used] = np.arange(len(used))
-    a, b = slot[index.pair_from], slot[index.pair_to]
-    cells = (a >= 0) & (b >= 0)
-    between = np.zeros((len(used), len(used)), dtype=np.int64)
-    between[a[cells], b[cells]] = index.pair_count[cells]
-    # written last: a file listed as its own partner shares all its commits with itself
-    np.fill_diagonal(between, np.append(index.commit_counts, 0)[used])
-    shared = between[np.ix_(local, local)]
+    shared = history.shared_commits([entity_files[e] for e in entities])
     return _row_shares(shared, np.diag(shared))
 
 
 def _author_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
     """Share of entity i's authors that also authored entity j's file: EA EA' over row sizes."""
-    authorship = history.entity_authors(entity_files)
-    incidence = authorship.incidence[[authorship.rows[e] for e in entities]]
+    incidence = history.entity_authors([entity_files[e] for e in entities]).astype(np.int64)
     shared = incidence @ incidence.T
     return _row_shares(shared, np.diag(shared))
 

@@ -140,7 +140,7 @@ def _score_grid(
 ) -> tuple[list[ResultRow], list[SweepFailure]]:
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
-    scorer = Scorer(model, history.entity_authors(entity_files))
+    scorer = Scorer(model, history.entity_authors([entity_files[e] for e in model.entities]))
     # each distinct partition is scored once; a domain error is kept as its message
     scored: dict[tuple[int, ...], MetricsRecord | str] = {}
     capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))

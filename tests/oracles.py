@@ -3,14 +3,17 @@
 Everything here shares no code with the package internals, and most of it
 works on plain dicts/lists with naive loops.  The exceptions are the package's
 former code, kept to referee its replacement bit for bit: `scan_upgma`, the
-former numpy clustering kernel, and the former dict-walking history loader and
-history measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
+former numpy clustering kernel, the former counting loop of the history
+(`history_counts`), and the former dict-walking history loader and history
+measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
 `author_matrix`).  Traces are dicts name -> [(entity, mode), ...]; commits are
 lists of (author, set_of_files).
 """
 
 import json
 import math
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -311,6 +314,34 @@ def scan_upgma(matrix):
     return list(zip(lefts, rights, heights))
 
 
+def history_counts(commits, max_files=100):
+    """The package's former counting loop over logical commits.
+
+    Verbatim but for two edits: it raises ValueError where the package raises
+    HistoryError, and it returns the three maps (commit counts, co-changes,
+    author sets) where the package built the history.
+    """
+    counted = [c for c in commits if len(c.files) <= max_files]
+    if not counted:
+        raise ValueError("no usable history")
+    file_count: Counter = Counter()
+    co: dict[str, Counter] = defaultdict(Counter)
+    authors: dict[str, set[str]] = defaultdict(set)
+    for commit in counted:
+        files = sorted(commit.files)
+        for filename in files:
+            file_count[filename] += 1
+            authors[filename].add(commit.author)
+        for file_a, file_b in combinations(files, 2):
+            co[file_a][file_b] += 1
+            co[file_b][file_a] += 1
+    return (
+        dict(file_count),
+        {f: dict(partners) for f, partners in co.items()},
+        {f: frozenset(a) for f, a in authors.items()},
+    )
+
+
 def history_from_json_dict(raw):
     """The package's former history.json validator, which walked the dicts pair by pair.
 
@@ -388,11 +419,10 @@ def entity_authors(file_authors, entity_files):
     return rows, incidence, masks
 
 
-def commit_matrix(entities, history, entity_files):
-    """The package's former commit measure loop, over the history's dicts.
+def commit_matrix(entities, file_commit_count, co_changes, entity_files):
+    """The package's former commit measure loop, over the history's commit counts and co-changes.
 
-    An entity mapped to a file the history lacks raises the history's
-    `commit_count` error.
+    An entity mapped to a file the history lacks raises KeyError.
     """
     n = len(entities)
     files = [entity_files[e] for e in entities]
@@ -406,11 +436,11 @@ def commit_matrix(entities, history, entity_files):
     for i, filename in enumerate(files):
         if filename is None:
             continue
-        totals[i] = history.commit_count(filename)
+        totals[i] = file_commit_count[filename]
         for j in slots[filename]:
             cells.append(i * n + j)
             counts.append(totals[i])
-        for other, together in history.co_changes.get(filename, {}).items():
+        for other, together in co_changes.get(filename, {}).items():
             if other != filename:
                 for j in slots.get(other, ()):
                     cells.append(i * n + j)
@@ -420,9 +450,9 @@ def commit_matrix(entities, history, entity_files):
     return row_shares(shared, np.array(totals, dtype=np.int64))
 
 
-def author_matrix(entities, history, entity_files):
+def author_matrix(entities, file_authors, entity_files):
     """The package's former author measure: EA EA' over row sizes, EA from `entity_authors`."""
-    rows, incidence, _ = entity_authors(history.file_authors, entity_files)
+    rows, incidence, _ = entity_authors(file_authors, entity_files)
     incidence = incidence[[rows[e] for e in entities]]
     shared = incidence @ incidence.T
     return row_shares(shared, np.diag(shared))

@@ -3,6 +3,7 @@
 import json
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from monosplit import LogicalCommit, build_history_representation, load_access_model
@@ -55,6 +56,25 @@ def commits_to_history(commits):
         for i, (author, files) in enumerate(commits)
     ]
     return build_history_representation(logical)
+
+
+def history_maps(history):
+    """A history's commit counts, co-change counts and author sets as dicts, read off its arrays.
+
+    As the former counting loop kept them: a file without partners has no
+    co-change entry.
+    """
+    files = history.files()
+    counts = dict(zip(files, history.commit_counts.tolist()))
+    co_changes: dict[str, dict[str, int]] = {}
+    cells = zip(history.pair_from.tolist(), history.pair_to.tolist(), history.pair_count.tolist())
+    for a, b, k in cells:
+        co_changes.setdefault(files[a], {})[files[b]] = k
+    authors = {
+        f: frozenset(history.authors[j] for j in np.flatnonzero(row))
+        for f, row in zip(files, history.authorship)
+    }
+    return counts, co_changes, authors
 
 
 def random_partition(rng, entities, n_clusters):

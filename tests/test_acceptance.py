@@ -34,6 +34,7 @@ import oracles
 from conftest import log_fixture
 from synth import (
     commits_to_history,
+    history_maps,
     partition_masks,
     random_commits,
     random_partition,
@@ -120,7 +121,7 @@ def test_acceptance_3_metric_properties(capsys):
         n = len(model.entities)
         for k in range(1, n + 1):
             partition = partition_masks(model.entities, random_partition(rng, model.entities, k))
-            scorer = Scorer(model, history.entity_authors(files))
+            scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
             record = evaluate(scorer, partition)
             values = (
                 record.uniform_complexity,
@@ -182,9 +183,9 @@ def test_acceptance_4_oracle_equivalence(capsys):
                         )
         for k in range(1, len(entities) + 1):
             clusters = sorted(random_partition(rng, entities, k))
-            scorer = Scorer(model, history.entity_authors(files))
+            scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
             scored = scorer.clusters(partition_masks(entities, clusters))
-            file_authors = {f: set(history.file_authors[f]) for f in history.files()}
+            file_authors = history_maps(history)[2]
             checks = (
                 ("complexity", scorer.splitting_cost(scored) / len(model.functionalities),
                  oracles.complexity_measure(clusters, traces)),

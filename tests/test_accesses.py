@@ -17,9 +17,8 @@ CHECKOUT = '{"checkout": [["Order", "R"], ["Card", "W"]]}'
 def test_load_single_functionality():
     model = load_access_model(CHECKOUT)
     assert model.entities == ("Card", "Order")
-    assert [f.name for f in model.functionalities] == ["checkout"]
-    trace = model.functionalities[0].trace
-    assert [(a.entity, a.mode) for a in trace] == [("Order", "R"), ("Card", "W")]
+    assert model.functionalities == ("checkout",)
+    assert model.incidence.steps.tolist() == [[0, 0], [1, 0]]  # one step, from Order to Card
 
 
 def test_lookup_by_mode():
@@ -32,7 +31,7 @@ def test_lookup_by_mode():
 
 def test_consecutive_duplicates_survive():
     model = load_access_model('{"f": [["A", "R"], ["A", "R"], ["A", "W"]]}')
-    assert len(model.functionalities[0].trace) == 3
+    assert model.incidence.steps.tolist() == [[2]]  # three accesses, two steps from A to A
 
 
 def test_empty_trace_is_allowed():
@@ -76,7 +75,7 @@ def test_any_is_union_of_read_and_write(traces):
     assert set(model.entities) == {e for steps in traces.values() for e, _ in steps}
     incidence = model.incidence
     assert (incidence.touch == (incidence.read | incidence.write)).all()
-    names = [f.name for f in model.functionalities]
+    names = model.functionalities
     for column, entity in enumerate(model.entities):
         for array, mode in ((incidence.read, "R"), (incidence.write, "W"), (incidence.touch, "ANY")):
             accessing = {name for name, cell in zip(names, array[:, column]) if cell}

@@ -23,7 +23,7 @@ from monosplit import (
     resolve_renames,
 )
 from monosplit.history import ADD, DELETE, MODIFY, RENAME, ChangeEvent, drop_oversized_commits
-from synth import NAME, history_parts
+from synth import NAME, history_maps, history_parts
 
 SIMPLE_LOG = (
     "commit\th2\t2000\tBig.Dev@Example.COM\n"
@@ -194,13 +194,57 @@ def test_counts_over_logical_commits():
         _logical("x", {"A"}, 20),
     ]
     history = build_history_representation(commits)
-    assert history.commit_count("A") == 3
-    assert history.co_changes["A"]["B"] == 2
-    assert history.co_changes["B"]["A"] == 2
-    assert "A" not in history.co_changes["A"]  # a file's own count is its commit count
-    assert history.file_authors["A"] == {"x", "y"}
-    assert history.file_authors["C"] == {"y"}
-    assert set().union(*history.file_authors.values()) == {"x", "y"}
+    counts, co_changes, authors = history_maps(history)
+    assert counts["A"] == 3
+    assert co_changes["A"]["B"] == 2
+    assert co_changes["B"]["A"] == 2
+    assert "A" not in co_changes["A"]  # a file's own count is its commit count
+    assert authors["A"] == {"x", "y"}
+    assert authors["C"] == {"y"}
+    assert history.authors == ("x", "y")
+
+
+@st.composite
+def logical_commit_lists(draw):
+    """Logical commits over a few files and three authors, and a max_files that some exceed."""
+    files = draw(st.lists(NAME, unique=True, min_size=1, max_size=10))
+    commits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a@x", "b@x", "c@x"]),
+                st.sets(st.sampled_from(files), min_size=1, max_size=len(files)),
+            ),
+            max_size=20,
+        )
+    )
+    logical = [LogicalCommit(10 * i, a, frozenset(f), 1) for i, (a, f) in enumerate(commits)]
+    return logical, draw(st.integers(1, 6))
+
+
+@given(logical_commit_lists())
+@example(
+    (
+        [
+            _logical("a@x", {"A"}),
+            _logical("b@x", {"A", "B"}),
+            _logical("a@x", {"A", "B", "C", "D"}),
+            _logical("a@x", {"B", "C"}),
+        ],
+        3,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_counting_equals_the_former_loop(case):
+    commits, max_files = case
+    try:
+        expected = oracles.history_counts(commits, max_files)
+    except ValueError:
+        with pytest.raises(HistoryError, match="no usable history"):
+            build_history_representation(commits, max_files)
+        return
+    history = build_history_representation(commits, max_files)
+    assert history_maps(history) == expected
+    assert history.serialize() == oracles.history_json(*expected)
 
 
 def test_oversized_logical_commit_not_counted():
@@ -220,13 +264,11 @@ def test_no_usable_history_raises():
         build_history_representation(oversized)
 
 
-def test_unknown_file_raises():
+def test_unknown_file_reads_as_empty():
     history = build_history_representation([_logical("x", {"A"})])
-    with pytest.raises(HistoryError):
-        history.commit_count("B")
     assert not history.has_file("B")
-    assert "B" not in history.co_changes.get("A", {})
-    assert "B" not in history.file_authors
+    assert history.shared_commits(["A", "B", None]).tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert history.entity_authors(["A", "B", None]).tolist() == [[True], [False], [False]]
 
 
 EXPECTED_RENAME_CHAIN = {
@@ -293,15 +335,6 @@ def test_mining_is_deterministic():
     assert mine_history(text).serialize() == mine_history(text).serialize()
 
 
-def test_mining_leaves_the_index_unbuilt():
-    history = mine_history(log_fixture("bundling.log"))
-    history.serialize()
-    assert history._index is None  # built on first use; `mine` has none
-    assert history.index.commit_counts.tolist() == [
-        history.file_commit_count[f] for f in history.files()
-    ]
-
-
 def test_serialize_parse_round_trip():
     history = mine_history(log_fixture("bundling.log"))
     reparsed = DevelopmentHistory.parse(history.serialize())
@@ -312,7 +345,7 @@ def test_serialize_parse_round_trip():
 @example(({}, {}, {}))
 @settings(max_examples=200, deadline=None)
 def test_serialize_writes_what_json_dumps_writes(parts):
-    text = DevelopmentHistory(*parts).serialize()
+    text = DevelopmentHistory.from_maps(*parts).serialize()
     assert text == oracles.history_json(*parts)
     assert DevelopmentHistory.parse(text).serialize() == text
 
@@ -354,7 +387,17 @@ def edited_documents(draw):
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(
             st.sampled_from(
-                ["partner", "asymmetric", "above", "value", "count", "self", "huge", "empty"]
+                [
+                    "partner",
+                    "asymmetric",
+                    "above",
+                    "value",
+                    "count",
+                    "self",
+                    "repeated",
+                    "huge",
+                    "empty",
+                ]
             )
         )
         if edit == "empty":
@@ -388,8 +431,12 @@ def edited_documents(draw):
             changes[a]["with"][b] = changes[b]["with"][a] = draw(_ODD_COUNTS)
         elif edit == "count":
             changes[a]["count"] = draw(_ODD_COUNTS)
-        elif edit == "self":
+        elif edit == "self":  # a form `mine` never writes, which the former loader took
             changes[a]["with"][a] = draw(st.integers(1, count(a) + 1))
+        elif edit == "repeated":  # another such form: a name twice in one author list
+            names = authorship.get(a)
+            if names:
+                names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
         else:  # huge: a consistent pair whose counts int64 cannot hold
             changes[a]["count"] = changes[b]["count"] = 2**63 + draw(st.integers(0, 3))
             changes[a]["with"][b] = changes[b]["with"][a] = 2**63
@@ -402,6 +449,12 @@ def _beyond_int64(raw) -> bool:
     return any(type(k) is int and not -(2**63) <= k < 2**63 for k in counts)
 
 
+def _unwritten_form(raw) -> bool:
+    """A file listed as its own co-change partner, or a name repeated in an author list."""
+    own = any(f in entry["with"] for f, entry in raw["fileChanges"].items())
+    return own or any(len(set(names)) != len(names) for names in raw["authorship"].values())
+
+
 @given(edited_documents())
 @example({"fileChanges": {}, "authorship": {}})
 @settings(max_examples=400, deadline=None)
@@ -410,20 +463,26 @@ def test_loader_rejects_exactly_what_the_former_loader_rejects(raw):
         expected = oracles.history_from_json_dict(raw)
     except ValueError:
         expected = None
-    if expected is None or _beyond_int64(raw):  # the loader now also rejects those
+    # the loader now also rejects those
+    if expected is None or _beyond_int64(raw) or _unwritten_form(raw):
         with pytest.raises(HistoryError):
             DevelopmentHistory.from_json_dict(raw)
         return
     history = DevelopmentHistory.from_json_dict(raw)
-    assert (history.file_commit_count, history.co_changes, history.file_authors) == expected
-    index = history.index
-    files = list(index.positions)
-    assert files == sorted(expected[0])
-    assert index.commit_counts.tolist() == [expected[0][f] for f in files]
-    cells = zip(index.pair_from.tolist(), index.pair_to.tolist(), index.pair_count.tolist())
+    counts, co_changes, authors = expected
+    files = history.files()
+    assert files == sorted(counts)
+    assert history.commit_counts.tolist() == [counts[f] for f in files]
+    cells = zip(history.pair_from.tolist(), history.pair_to.tolist(), history.pair_count.tolist())
     assert {(files[a], files[b]): k for a, b, k in cells} == {
-        (a, b): k for a, partners in expected[1].items() for b, k in partners.items()
+        (a, b): k for a, partners in co_changes.items() for b, k in partners.items()
     }
+    assert history_maps(history)[2] == authors
+    # what the loader accepts, serialize writes back: the document, author lists sorted
+    text = history.serialize()
+    sorted_authors = {f: sorted(names) for f, names in raw["authorship"].items()}
+    assert json.loads(text) == {**raw, "authorship": sorted_authors}
+    assert text == oracles.history_json(*expected)
 
 
 @st.composite
@@ -459,12 +518,13 @@ def test_pipeline_invariants_on_random_streams(events):
     if not commits:
         return
     history = build_history_representation(commits)
+    counts, co_changes, authors = history_maps(history)
     for file_a in history.files():
-        assert history.commit_count(file_a) >= 1
-        assert history.file_authors[file_a]
-        for file_b, shared in history.co_changes.get(file_a, {}).items():
-            assert shared == history.co_changes[file_b][file_a]
-            assert shared <= min(history.commit_count(file_a), history.commit_count(file_b))
+        assert counts[file_a] >= 1
+        assert authors[file_a]
+        for file_b, shared in co_changes.get(file_a, {}).items():
+            assert shared == co_changes[file_b][file_a]
+            assert shared <= min(counts[file_a], counts[file_b])
     text = history.serialize()
     assert DevelopmentHistory.parse(text).serialize() == text
 

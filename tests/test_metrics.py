@@ -23,6 +23,7 @@ from monosplit import metrics
 import oracles
 from synth import (
     commits_to_history,
+    history_maps,
     partition_masks,
     random_commits,
     random_partition,
@@ -35,12 +36,12 @@ def _model(payload):
     return load_access_model(json.dumps(payload))
 
 
-NO_AUTHORS = DevelopmentHistory({}, {}, {}).entity_authors({})
+NO_HISTORY = DevelopmentHistory.from_maps({}, {}, {})
 
 
-def _scored(model, clusters, authors=NO_AUTHORS):
+def _scored(model, clusters, history=NO_HISTORY, files={}):
     """A fresh scorer and the per-cluster terms of the clusters of entity names."""
-    scorer = Scorer(model, authors)
+    scorer = Scorer(model, history.entity_authors([files.get(e) for e in model.entities]))
     return scorer, scorer.clusters(partition_masks(model.entities, clusters))
 
 
@@ -156,7 +157,7 @@ def test_exposure_is_directional():
 
 
 def _history(file_authors):
-    return DevelopmentHistory(
+    return DevelopmentHistory.from_maps(
         {f: 1 for f in file_authors},
         {f: {} for f in file_authors},
         {f: frozenset(a) for f, a in file_authors.items()},
@@ -166,7 +167,7 @@ def _history(file_authors):
 def _tsr(clusters, history, entity_files):
     """TSR of the clusters over a model whose one trace reads each of their members."""
     model = _model({"f": [[entity, "R"] for cluster in clusters for entity in cluster]})
-    return tsr(*_scored(model, clusters, history.entity_authors(entity_files)))
+    return tsr(*_scored(model, clusters, history, entity_files))
 
 
 def test_tsr_mean_cluster_authors_over_total():
@@ -214,7 +215,7 @@ def test_tsr_follows_each_mapping_asked_of_one_history():
 
 def test_tsr_rejects_history_without_authors():
     with pytest.raises(MetricsError, match="no authors"):
-        _tsr([["A"]], DevelopmentHistory({}, {}, {}), {"A": None})
+        _tsr([["A"]], NO_HISTORY, {"A": None})
 
 
 # ------------------------------------------------------------------ combined
@@ -239,7 +240,7 @@ def test_combined_score_rejects_out_of_range(position, bad):
 
 
 def _evaluate(model, clusters, history, files):
-    scorer = Scorer(model, history.entity_authors(files))
+    scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
     return evaluate(scorer, partition_masks(model.entities, clusters))
 
 
@@ -251,7 +252,7 @@ def test_evaluate_bundles_the_five_numbers():
     history = commits_to_history(commits)
     clusters = random_partition(rng, model.entities, 2)
     record = _evaluate(model, clusters, history, files)
-    scored = _scored(model, clusters, history.entity_authors(files))
+    scored = _scored(model, clusters, history, files)
     assert record.uniform_complexity == uniform_complexity(*scored)
     assert record.cohesion == cohesion(*scored)
     assert record.coupling == coupling(*scored)
@@ -266,7 +267,8 @@ def test_evaluate_scores_through_the_module_level_metrics(monkeypatch):
     rng = random.Random(5)
     model = to_model(random_traces(rng, 5))
     commits, files = random_commits(rng, model.entities)
-    scorer = Scorer(model, commits_to_history(commits).entity_authors(files))
+    history = commits_to_history(commits)
+    scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
     partition = partition_masks(model.entities, random_partition(rng, model.entities, 2))
     stand_ins = {"uniform_complexity": 0.25, "cohesion": 0.5, "coupling": 0.125, "tsr": 0.75}
     calls = []
@@ -320,11 +322,11 @@ def test_metrics_match_naive_oracles(seed):
     history = commits_to_history(commits)
     for k in range(1, len(model.entities) + 1):
         clusters = sorted(random_partition(rng, model.entities, k))
-        scored = _scored(model, clusters, history.entity_authors(files))
+        scored = _scored(model, clusters, history, files)
         assert _complexity(model, clusters) == oracles.complexity_measure(clusters, traces)
         assert max_complexity(model) == oracles.max_complexity_measure(traces)
         assert uniform_complexity(*scored) == oracles.uniform_complexity_measure(clusters, traces)
         assert cohesion(*scored) == oracles.cohesion_measure(clusters, traces)
         assert coupling(*scored) == oracles.coupling_measure(clusters, traces)
-        file_authors = {f: set(history.file_authors[f]) for f in history.files()}
+        file_authors = history_maps(history)[2]
         assert tsr(*scored) == oracles.tsr_measure(clusters, files, file_authors)

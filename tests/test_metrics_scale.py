@@ -22,6 +22,7 @@ import oracles
 from synth import (
     MODES,
     commits_to_history,
+    history_maps,
     partition_masks,
     random_commits,
     random_partition,
@@ -49,7 +50,7 @@ def _partitions(rng, entities):
 
 
 def _oracle_record(clusters, traces, files, history):
-    file_authors = {f: set(history.file_authors[f]) for f in history.files()}
+    file_authors = history_maps(history)[2]
     uniform = oracles.uniform_complexity_measure(clusters, traces)
     cohesion = oracles.cohesion_measure(clusters, traces)
     coupling = oracles.coupling_measure(clusters, traces)
@@ -98,11 +99,11 @@ def test_memo_keeps_every_bit(seed, n_entities, n_functionalities, trace_len, st
     partitions = _chained_partitions(rng, model.entities, steps)
     occurrences = [frozenset(c) for clusters in partitions for c in clusters]
     assert len(set(occurrences)) < len(occurrences)
-    shared = Scorer(model, history.entity_authors(files))
+    shared = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
     for clusters in partitions:
         partition = partition_masks(model.entities, clusters)
         record = evaluate(shared, partition)
-        fresh = Scorer(model, history.entity_authors(files))
+        fresh = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
         assert record == evaluate(fresh, partition)
         got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
         want = _oracle_record(clusters, traces, files, history)
@@ -119,7 +120,7 @@ def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functio
         seed, n_entities, n_functionalities, trace_len
     )
     for clusters in _partitions(rng, model.entities):
-        scorer = Scorer(model, history.entity_authors(files))
+        scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
         record = evaluate(scorer, partition_masks(model.entities, clusters))
         got = (record.uniform_complexity, record.cohesion, record.coupling, record.tsr, record.combined)
         want = _oracle_record(clusters, traces, files, history)

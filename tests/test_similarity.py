@@ -128,15 +128,8 @@ def test_history_matrices_of_entities_sharing_a_file(small_history):
 
 @st.composite
 def mapped_histories(draw):
-    """A random history and entities mapped to its files, to None or to a file it lacks.
-
-    Some files list themselves as a partner, a cell the commit measure skips.
-    """
+    """A random history and entities mapped to its files, to None or to a file it lacks."""
     parts = draw(history_parts())
-    counts, co_changes, _ = parts
-    for filename in sorted(counts):
-        if draw(st.booleans()):
-            co_changes.setdefault(filename, {})[filename] = draw(st.integers(1, counts[filename]))
     absent = draw(NAME.filter(lambda name: name not in parts[0]))
     targets = [*sorted(parts[0]), None, absent]
     entities = [f"E{i}" for i in range(draw(st.integers(1, 8)))]
@@ -162,24 +155,22 @@ _SHARED = (
 @settings(max_examples=300, deadline=None)
 def test_history_measures_equal_the_former_loops(case, parsed):
     parts, entities, entity_files = case
-    if parsed:  # the loader builds the index while it validates; otherwise it is built on first use
+    if parsed:  # through the loader, or straight from the maps
         history = DevelopmentHistory.parse(oracles.history_json(*parts))
     else:
-        history = DevelopmentHistory(*parts)
-    rows, incidence, masks = oracles.entity_authors(history.file_authors, entity_files)
-    authors = history.entity_authors(entity_files)
-    assert authors.rows == rows
-    assert authors.masks == masks
-    assert _same_bits(authors.incidence, incidence)
+        history = DevelopmentHistory.from_maps(*parts)
+    counts, co_changes, file_authors = parts
+    _, incidence, _ = oracles.entity_authors(file_authors, entity_files)
+    assert _same_bits(history.entity_authors(list(entity_files.values())), incidence.astype(bool))
     assert _same_bits(
         _author_matrix(entities, history, entity_files),
-        oracles.author_matrix(entities, history, entity_files),
+        oracles.author_matrix(entities, file_authors, entity_files),
     )
     # the former loop raised on a file the history lacks; such an entity now reads as unmapped
     known = {e: f if f is None or history.has_file(f) else None for e, f in entity_files.items()}
     assert _same_bits(
         _commit_matrix(entities, history, entity_files),
-        oracles.commit_matrix(entities, history, known),
+        oracles.commit_matrix(entities, counts, co_changes, known),
     )
 
 

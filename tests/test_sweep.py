@@ -200,7 +200,7 @@ def _single_runs(model, history, files, weights, counts):
     """
     out = {}
     for n, clusters in _decompose_clusters(model, history, files, weights, counts).items():
-        scorer = Scorer(model, history.entity_authors(files))
+        scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
         out[n] = evaluate(scorer, partition_masks(model.entities, clusters))
     return out
 
