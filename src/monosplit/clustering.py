@@ -45,8 +45,14 @@ def to_dissimilarity(values: np.ndarray) -> np.ndarray:
     return dissimilarity
 
 
-def check_dissimilarity(dissimilarity) -> np.ndarray:
-    """The matrix as floats, once it is square, non-empty, finite, symmetric, zero on the diagonal."""
+def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
+    """UPGMA merge sequence over a symmetric dissimilarity matrix.
+
+    The matrix must be square, non-empty, finite, symmetric and zero on the
+    diagonal; anything else raises ClusteringError.  Ties on the merge distance
+    pick the pair with the smallest cluster ids, comparing (min id, max id)
+    lexicographically, so results are reproducible.
+    """
     matrix = np.asarray(dissimilarity, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ClusteringError("dissimilarity matrix must be square")
@@ -59,16 +65,7 @@ def check_dissimilarity(dissimilarity) -> np.ndarray:
         raise ClusteringError("dissimilarity matrix must be symmetric")
     if np.any(np.diag(matrix) != 0):
         raise ClusteringError("dissimilarity matrix must have a zero diagonal")
-    return matrix
-
-
-def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
-    """UPGMA merge sequence over a symmetric dissimilarity matrix.
-
-    Ties on the merge distance pick the pair with the smallest cluster ids,
-    comparing (min id, max id) lexicographically, so results are reproducible.
-    """
-    return _scan_upgma(check_dissimilarity(dissimilarity))
+    return _scan_upgma(matrix)
 
 
 def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
@@ -114,7 +111,8 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
 def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     """`agglomerate` of each matrix of a (count, n, n) float stack, merges and heights bit for bit.
 
-    Each matrix must already pass `check_dissimilarity`.  The stack is used as
+    Each matrix must be finite, exactly symmetric and zero on the diagonal, as
+    `agglomerate` checks; this function does not.  The stack is used as
     working memory and overwritten.  Each merge step runs once for all the
     matrices, so a stack of several beats `agglomerate` on each in turn; on a
     single matrix `agglomerate` is faster.

@@ -46,17 +46,17 @@ class ChangeEvent:
     status: str  # ADD / DELETE / MODIFY / RENAME
     filename: str
     previous_filename: str | None = None  # RENAME only
-    rename_similarity: int | None = None  # RENAME only, 50..100
 
 
-@dataclass(frozen=True)
+@dataclass
 class LogicalCommit:
-    """One unit of work: a run of nearby same-author raw commits."""
+    """One unit of work: a run of nearby same-author raw commits.
 
-    first_timestamp: int
+    `bundle_commits` grows `files` in place as it adds a raw commit to the run.
+    """
+
     author: str
-    files: frozenset[str]
-    raw_commit_count: int
+    files: set[str]
 
 
 def read_git_log(repo_path: str) -> str:
@@ -113,17 +113,7 @@ def parse_git_log(text: str, extension: str = ".java") -> list[ChangeEvent]:
                 raise GitLogError(f"line {lineno}: rename similarity out of range: {similarity}")
             if not parts[2].endswith(extension):
                 continue
-            events.append(
-                ChangeEvent(
-                    commit_hash,
-                    timestamp,
-                    author,
-                    RENAME,
-                    parts[2],
-                    previous_filename=parts[1],
-                    rename_similarity=similarity,
-                )
-            )
+            events.append(ChangeEvent(commit_hash, timestamp, author, RENAME, parts[2], parts[1]))
         elif letter in (ADD, DELETE, MODIFY):
             if digits:
                 raise GitLogError(f"line {lineno}: unexpected score on {letter} status")
@@ -206,39 +196,29 @@ def drop_oversized_commits(events: list[ChangeEvent], max_files: int = 100) -> l
 
 
 def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> list[LogicalCommit]:
-    """Bundle chronological runs of same-author raw commits with gaps within the window.
+    """Bundle runs of same-author raw commits with gaps within the window.
 
-    The gap test is pairwise between adjacent commits of a run, so a long run can
-    span more than one window.  A commit by another author breaks the run.
+    Raw commits are taken in the order of their first event, which
+    `parse_git_log` has put in (timestamp, commit hash) order; a raw commit's
+    time is that of its first event.  The gap test is pairwise between adjacent
+    commits of a run, so a long run can span more than one window.  A commit by
+    another author breaks the run.
     """
-    raw: dict[str, list] = {}
+    raw: dict[str, tuple[int, str, set[str]]] = {}
     for event in events:
         info = raw.get(event.commit_hash)
         if info is None:
-            raw[event.commit_hash] = [event.timestamp, event.author, {event.filename}]
+            raw[event.commit_hash] = (event.timestamp, event.author, {event.filename})
         else:
             info[2].add(event.filename)
-    ordered = sorted(
-        ((ts, commit_hash, author, files) for commit_hash, (ts, author, files) in raw.items()),
-        key=lambda r: (r[0], r[1]),
-    )
     bundles: list[LogicalCommit] = []
-    last_timestamp: int | None = None
-    for timestamp, _, author, files in ordered:
-        if (
-            bundles
-            and bundles[-1].author == author
-            and timestamp - last_timestamp <= window_seconds
-        ):
-            head = bundles[-1]
-            bundles[-1] = LogicalCommit(
-                head.first_timestamp,
-                author,
-                head.files | files,
-                head.raw_commit_count + 1,
-            )
+    last_timestamp = 0
+    for timestamp, author, files in raw.values():
+        same_run = bundles and bundles[-1].author == author
+        if same_run and timestamp - last_timestamp <= window_seconds:
+            bundles[-1].files.update(files)
         else:
-            bundles.append(LogicalCommit(timestamp, author, frozenset(files), 1))
+            bundles.append(LogicalCommit(author, files))
         last_timestamp = timestamp
     return bundles
 

@@ -139,14 +139,14 @@ def _validate_entity_files(model: AccessModel, history: DevelopmentHistory, enti
 
 def measure_matrices(
     model: AccessModel,
-    history: DevelopmentHistory | None,
-    entity_files: dict[str, str | None] | None,
+    history: DevelopmentHistory,
+    entity_files: dict[str, str | None],
     include_history: bool = True,
 ) -> np.ndarray:
     """The six per-measure matrices over the model's sorted entities, stacked in MEASURE_NAMES order.
 
-    With include_history=False the commit and author matrices are zero and the
-    history inputs may be None.
+    With include_history=False the commit and author matrices are zero, and
+    the history and the mapping are not read.
     """
     entities = model.entities
     n = len(entities)
@@ -158,8 +158,6 @@ def measure_matrices(
     stack[3] = _sequence_matrix(incidence.steps)
     if not include_history:
         return stack
-    if history is None or entity_files is None:
-        raise SimilarityError("history measures requested without history data")
     _validate_entity_files(model, history, entity_files)
     stack[4] = _commit_matrix(entities, history, entity_files)
     stack[5] = _author_matrix(entities, history, entity_files)
@@ -198,8 +196,8 @@ class SimilarityMatrix:
 
 def build_similarity_matrix(
     model: AccessModel,
-    history: DevelopmentHistory | None,
-    entity_files: dict[str, str | None] | None,
+    history: DevelopmentHistory,
+    entity_files: dict[str, str | None],
     weights: Weights,
 ) -> SimilarityMatrix:
     """Blend the six measures into one similarity matrix over sorted entities."""

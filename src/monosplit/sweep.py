@@ -7,15 +7,14 @@ import io
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .accesses import AccessModel
 from .clustering import (  # `cut` stays importable here: benchmark/tracing.py wraps it by this name
-    ClusteringError,
     agglomerate,
     agglomerate_stack,
-    check_dissimilarity,
     cut,
     cuts,
     to_dissimilarity,
@@ -132,37 +131,32 @@ _STACK_BYTES = 8 * 1024 * 1024
 def _score_grid(
     stack: np.ndarray,
     model: AccessModel,
-    history: DevelopmentHistory,
-    entity_files: dict[str, str | None],
+    authors: np.ndarray,
     codebase: str,
-    weight_vectors: list[Weights],
     counts: list[int],
+    weight_vectors: list[Weights],
 ) -> tuple[list[ResultRow], list[SweepFailure]]:
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
-    scorer = Scorer(model, history.entity_authors([entity_files[e] for e in model.entities]))
+    scorer = Scorer(model, authors)
     # each distinct partition is scored once; a domain error is kept as its message
     scored: dict[tuple[int, ...], MetricsRecord | str] = {}
     capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))
     batch = np.empty((capacity, *stack[0].shape))
     for start in range(0, len(weight_vectors), capacity):
-        clustered: list[Weights] = []
-        for weights in weight_vectors[start : start + capacity]:
-            try:
-                batch[len(clustered)] = check_dissimilarity(to_dissimilarity(blend(stack, weights)))
-            except ClusteringError as exc:
-                failures.extend(SweepFailure(codebase, n, weights, str(exc)) for n in counts)
-                continue
-            clustered.append(weights)
-        if not clustered:
-            continue
-        if len(clustered) == 1:
+        vectors = weight_vectors[start : start + capacity]
+        for i, weights in enumerate(vectors):
+            # every measure lies in [0, 1] and the weights are non-negative and sum to
+            # 100, so the matrix is finite; to_dissimilarity makes it exactly symmetric
+            # with a zero diagonal, so it needs none of agglomerate's checks
+            batch[i] = to_dissimilarity(blend(stack, weights))
+        if len(vectors) == 1:
             # on one matrix the slot kernel beats the stacked one: 0.6 against
             # 2.2 ms at 24 entities, 6.3-7.4 against 15.6-16.1 ms at 160
             dendrograms = [agglomerate(batch[0])]
         else:
-            dendrograms = agglomerate_stack(batch[: len(clustered)])
-        for weights, dendrogram in zip(clustered, dendrograms):
+            dendrograms = agglomerate_stack(batch[: len(vectors)])
+        for weights, dendrogram in zip(vectors, dendrograms):
             group = classify_group(weights)
             partitions = cuts(dendrogram, counts)
             for n in counts:
@@ -181,10 +175,6 @@ def _score_grid(
     return rows, failures
 
 
-def _score_grid_star(args):
-    return _score_grid(*args)
-
-
 def run_sweep(
     model: AccessModel,
     history: DevelopmentHistory,
@@ -195,19 +185,19 @@ def run_sweep(
 ) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Score every weight vector at every cluster count for one codebase.
 
-    Failures of single rows are reported, not raised; the returned rows are
-    sorted by (weight vector, cluster count) so output is reproducible no matter
-    the parallelism degree.
+    Rows that fail on a metric's domain error are reported, not raised.  Rows
+    and failures come out in (weight vector, cluster count) order, whatever
+    the parallelism degree, so output is reproducible.
     """
     if parallelism < 1:
         raise SweepError(f"parallelism must be at least 1, got {parallelism}")
     counts = cluster_counts(len(model.entities))
     weight_vectors = enumerate_weights(step)
     stack = measure_matrices(model, history, entity_files, include_history=True)
+    authors = history.entity_authors([entity_files[e] for e in model.entities])
+    score = partial(_score_grid, stack, model, authors, codebase, counts)
     if parallelism == 1:
-        rows, failures = _score_grid(
-            stack, model, history, entity_files, codebase, weight_vectors, counts
-        )
+        rows, failures = score(weight_vectors)
     else:
         # imported here: loading the process pool costs every command's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -219,18 +209,9 @@ def run_sweep(
         ]
         rows, failures = [], []
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for part_rows, part_failures in pool.map(
-                _score_grid_star,
-                [
-                    (stack, model, history, entity_files, codebase, chunk, counts)
-                    for chunk in chunks
-                ],
-            ):
+            for part_rows, part_failures in pool.map(score, chunks):
                 rows.extend(part_rows)
                 failures.extend(part_failures)
-    # rows come out of each chunk in (weights, count) order and the chunks are
-    # in grid order; a stack's clustering failures come before its metric ones
-    failures.sort(key=lambda f: (f.weights.as_tuple(), f.n_clusters))
     for failure in failures:
         logger.warning(
             "dropped %s n=%d weights=%s: %s",

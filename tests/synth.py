@@ -6,7 +6,12 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from monosplit import LogicalCommit, build_history_representation, load_access_model
+from monosplit import (
+    DevelopmentHistory,
+    LogicalCommit,
+    build_history_representation,
+    load_access_model,
+)
 
 MODES = ("R", "W")
 
@@ -29,9 +34,13 @@ def random_traces(rng, n_entities, n_functionalities=None, max_extra=6):
     return traces
 
 
+def traces_json(traces):
+    """The access-trace document of a trace dict."""
+    return json.dumps({name: [[e, m] for e, m in steps] for name, steps in traces.items()})
+
+
 def to_model(traces):
-    payload = {name: [[e, m] for e, m in steps] for name, steps in traces.items()}
-    return load_access_model(json.dumps(payload))
+    return load_access_model(traces_json(traces))
 
 
 def random_commits(rng, entities, n_authors=4, extra_commits=8):
@@ -51,11 +60,13 @@ def random_commits(rng, entities, n_authors=4, extra_commits=8):
 
 
 def commits_to_history(commits):
-    logical = [
-        LogicalCommit(1000 + 10_000 * i, author, frozenset(files), 1)
-        for i, (author, files) in enumerate(commits)
-    ]
+    logical = [LogicalCommit(author, set(files)) for author, files in commits]
     return build_history_representation(logical)
+
+
+def empty_history():
+    """The history with no files and no authors, which the loader accepts."""
+    return DevelopmentHistory.parse(json.dumps({"fileChanges": {}, "authorship": {}}))
 
 
 def history_maps(history):

@@ -13,10 +13,13 @@ from monosplit import (
     ResultRow,
     Weights,
     classify_group,
+    cluster_counts,
+    load_access_model,
     read_git_log,
     write_results_csv,
 )
 from monosplit.cli import main
+from monosplit.sweep import CSV_COLUMNS
 
 
 def _mine(fixture_repo, tmp_path, name="history.json"):
@@ -249,6 +252,32 @@ def test_sweep_is_deterministic(fixture_repo, tmp_path, accesses_path):
         ) == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_sweep_over_a_history_without_authors_drops_every_row(
+    tmp_path, accesses_path, capsys, parallelism
+):
+    """No author leaves the team size ratio undefined: a domain error, so each row is dropped."""
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"fileChanges": {}, "authorship": {}}))
+    results = tmp_path / "results.csv"
+    code = main(
+        [
+            "--parallelism", parallelism,
+            "sweep",
+            "--history", str(history),
+            "--accesses", str(accesses_path),
+            "--codebase", "shop",
+            "--step", "50",
+            "--out", str(results),
+        ]
+    )
+    assert code == 0
+    assert results.read_text() == ",".join(CSV_COLUMNS) + "\n"
+    entities = load_access_model(accesses_path.read_text()).entities
+    dropped = 21 * len(cluster_counts(len(entities)))  # 21 vectors on the step-50 grid
+    assert f"{dropped} rows failed and were dropped" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- analyze

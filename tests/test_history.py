@@ -49,7 +49,6 @@ def test_parse_fields_filter_and_order():
     assert events[2].author == "big.dev@example.com"
     rename = events[3]
     assert rename.previous_filename == "src/B.java"
-    assert rename.rename_similarity == 87
 
 
 def test_parse_orders_same_timestamp_by_hash():
@@ -87,8 +86,7 @@ def test_parse_errors(text):
 
 
 def _event(hash_, ts, status, filename, previous=None, author="dev@example.com"):
-    similarity = 90 if status == RENAME else None
-    return ChangeEvent(hash_, ts, author, status, filename, previous, similarity)
+    return ChangeEvent(hash_, ts, author, status, filename, previous)
 
 
 def test_rename_chain_canonicalizes_all_names():
@@ -153,7 +151,7 @@ def test_bundling_chains_within_window():
     ]
     bundles = bundle_commits(events)
     assert len(bundles) == 1
-    assert bundles[0] == LogicalCommit(0, "x@x", frozenset({"A.java", "B.java"}), 3)
+    assert bundles[0] == LogicalCommit("x@x", {"A.java", "B.java"})
 
 
 def test_bundling_breaks_on_author_change():
@@ -183,15 +181,11 @@ def test_oversized_raw_commit_is_dropped_before_bundling():
     assert len(bundle_commits(kept)) == 1
 
 
-def _logical(author, files, ts=0):
-    return LogicalCommit(ts, author, frozenset(files), 1)
-
-
 def test_counts_over_logical_commits():
     commits = [
-        _logical("x", {"A", "B"}, 0),
-        _logical("y", {"A", "B", "C"}, 10),
-        _logical("x", {"A"}, 20),
+        LogicalCommit("x", {"A", "B"}),
+        LogicalCommit("y", {"A", "B", "C"}),
+        LogicalCommit("x", {"A"}),
     ]
     history = build_history_representation(commits)
     counts, co_changes, authors = history_maps(history)
@@ -217,7 +211,7 @@ def logical_commit_lists(draw):
             max_size=20,
         )
     )
-    logical = [LogicalCommit(10 * i, a, frozenset(f), 1) for i, (a, f) in enumerate(commits)]
+    logical = [LogicalCommit(a, f) for a, f in commits]
     return logical, draw(st.integers(1, 6))
 
 
@@ -225,10 +219,10 @@ def logical_commit_lists(draw):
 @example(
     (
         [
-            _logical("a@x", {"A"}),
-            _logical("b@x", {"A", "B"}),
-            _logical("a@x", {"A", "B", "C", "D"}),
-            _logical("a@x", {"B", "C"}),
+            LogicalCommit("a@x", {"A"}),
+            LogicalCommit("b@x", {"A", "B"}),
+            LogicalCommit("a@x", {"A", "B", "C", "D"}),
+            LogicalCommit("a@x", {"B", "C"}),
         ],
         3,
     )
@@ -249,8 +243,8 @@ def test_counting_equals_the_former_loop(case):
 
 def test_oversized_logical_commit_not_counted():
     commits = [
-        _logical("x", {f"F{i}" for i in range(101)}, 0),
-        _logical("x", {"A"}, 10),
+        LogicalCommit("x", {f"F{i}" for i in range(101)}),
+        LogicalCommit("x", {"A"}),
     ]
     history = build_history_representation(commits)
     assert history.files() == ["A"]
@@ -259,13 +253,13 @@ def test_oversized_logical_commit_not_counted():
 def test_no_usable_history_raises():
     with pytest.raises(HistoryError, match="no usable history"):
         build_history_representation([])
-    oversized = [_logical("x", {f"F{i}" for i in range(200)})]
+    oversized = [LogicalCommit("x", {f"F{i}" for i in range(200)})]
     with pytest.raises(HistoryError, match="no usable history"):
         build_history_representation(oversized)
 
 
 def test_unknown_file_reads_as_empty():
-    history = build_history_representation([_logical("x", {"A"})])
+    history = build_history_representation([LogicalCommit("x", {"A"})])
     assert not history.has_file("B")
     assert history.shared_commits(["A", "B", None]).tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     assert history.entity_authors(["A", "B", None]).tolist() == [[True], [False], [False]]

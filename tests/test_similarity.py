@@ -26,7 +26,15 @@ from monosplit.similarity import (
     blend,
     measure_matrices,
 )
-from synth import NAME, commits_to_history, history_parts, random_commits, random_traces, to_model
+from synth import (
+    NAME,
+    commits_to_history,
+    empty_history,
+    history_parts,
+    random_commits,
+    random_traces,
+    to_model,
+)
 
 THREE_SHARED = {
     "f1": [["e1", "R"]],
@@ -40,8 +48,14 @@ def _model(traces):
 
 
 def _measure(model, name, entity_a, entity_b, history=None, entity_files=None):
-    """One cell of a measure matrix, looked up by measure and entity names."""
-    stack = measure_matrices(model, history, entity_files, include_history=history is not None)
+    """One cell of a measure matrix, looked up by measure and entity names.
+
+    Without a history, the history measures are not computed.
+    """
+    include_history = history is not None
+    if not include_history:
+        history, entity_files = empty_history(), {}
+    stack = measure_matrices(model, history, entity_files, include_history=include_history)
     i, j = model.entities.index(entity_a), model.entities.index(entity_b)
     return float(stack[MEASURE_NAMES.index(name)][i, j])
 
@@ -234,7 +248,7 @@ def test_missing_map_entry_with_history_weights_raises(small_history):
 
 def test_map_not_needed_without_history_weights():
     model = _model({"f1": [["A", "R"], ["B", "W"]]})
-    matrix = build_similarity_matrix(model, None, None, Weights(100, 0, 0, 0, 0, 0))
+    matrix = build_similarity_matrix(model, empty_history(), {}, Weights(100, 0, 0, 0, 0, 0))
     assert _at(matrix, "A", "B") == 1.0
 
 

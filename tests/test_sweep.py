@@ -7,7 +7,6 @@ import random
 import pytest
 
 from monosplit import (
-    ClusteringError,
     MetricsError,
     MetricsRecord,
     ResultRow,
@@ -377,26 +376,6 @@ def test_each_distinct_partition_is_evaluated_once(monkeypatch):
     }
     assert len(scored) == len(set(scored))
     assert set(scored) == distinct
-
-
-def test_bad_matrix_drops_only_its_own_rows(monkeypatch, small_sweep):
-    model, history, files, clean_rows, _ = small_sweep
-    import monosplit.sweep as sweep_module
-
-    real_check = sweep_module.check_dissimilarity
-    calls = []
-
-    def check_all_but_second(matrix):
-        calls.append(None)
-        if len(calls) == 2:
-            raise ClusteringError("injected bad matrix")
-        return real_check(matrix)
-
-    monkeypatch.setattr(sweep_module, "check_dissimilarity", check_all_but_second)
-    rows, failures = run_sweep(model, history, files, "demo")
-    bad = enumerate_weights(10)[1]
-    assert [(f.weights, f.n_clusters) for f in failures] == [(bad, 3)]
-    assert rows == [row for row in clean_rows if row.weights != bad]
 
 
 def test_programming_errors_are_raised_not_collected(monkeypatch):
