@@ -117,14 +117,14 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     matrices, so a stack of several beats `agglomerate` on each in turn; on a
     single matrix `agglomerate` is faster.
 
-    Each of a matrix's n slots holds one live cluster.  Row r caches the slot of
-    its nearest live cluster, ties going to the smallest cluster id, and the
-    distance to it.  The row with the smallest id among those at the smallest
-    cached distance, and its cached neighbour, are the pair `agglomerate`
-    picks.  The merged cluster takes the lower of the two slots.  Only rows
-    whose neighbour was merged are scanned again; another row moves to the
-    merged cluster only when it is strictly closer, because the merged cluster
-    has the largest id.
+    Each of a matrix's n slots holds one live cluster.  Row r caches its exact
+    smallest distance and the first slot at it that `argmin` returns.  Of the
+    rows at the smallest cached distance, the one with the smallest id is the
+    pair's first cluster, and the smallest id at that distance in its row is
+    the second: the pair `agglomerate` picks.  The merged cluster takes the
+    lower slot, and the other slot's column goes to infinity.  The merged row
+    and the rows whose cached slot was one of the pair's are scanned again;
+    another row moves to the merged cluster only when it is strictly closer.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ClusteringError("expected a stack of non-empty square matrices")
@@ -134,7 +134,7 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     ids = np.tile(np.arange(n), (count, 1))
     sizes = np.ones((count, n), dtype=int)
     live = np.ones((count, n), dtype=bool)
-    nearest = stack.argmin(axis=2)  # slots still equal ids: the first minimum has the smallest id
+    nearest = stack.argmin(axis=2)
     distance = stack.min(axis=2)
     no_id = 2 * n
     lefts = np.empty((n - 1, count), dtype=int)
@@ -143,35 +143,35 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     for step in range(n - 1):
         lowest = distance.min(axis=1)
         row = np.where(distance == lowest[:, None], ids, no_id).argmin(axis=1)
-        partner = nearest[batch, row]
+        row_line = stack[batch, row]
+        partner = np.where(row_line == lowest[:, None], ids, no_id).argmin(axis=1)
         row_id, partner_id = ids[batch, row], ids[batch, partner]
         lefts[step] = np.minimum(row_id, partner_id)
         rights[step] = np.maximum(row_id, partner_id)
         heights[step] = lowest
         row_size, partner_size = sizes[batch, row], sizes[batch, partner]
         merged = (
-            row_size[:, None] * stack[batch, row] + partner_size[:, None] * stack[batch, partner]
+            row_size[:, None] * row_line + partner_size[:, None] * stack[batch, partner]
         ) / (row_size + partner_size)[:, None]
         keep, gone = np.minimum(row, partner), np.maximum(row, partner)
         merged[batch, keep] = merged[batch, gone] = np.inf
         stack[batch, keep, :] = merged
         stack[batch, :, keep] = merged
-        stack[batch, gone, :] = np.inf
         stack[batch, :, gone] = np.inf
         ids[batch, keep] = n + step
         sizes[batch, keep] = row_size + partner_size
         live[batch, gone] = False
         distance[batch, gone] = np.inf
-        # the pair were each other's nearest neighbours, so this includes the merged row
         stale = live & ((nearest == row[:, None]) | (nearest == partner[:, None]))
+        stale[batch, keep] = True  # its cached slot may be a third cluster, not the partner
         closer = merged < distance
-        nearest[closer] = np.broadcast_to(keep[:, None], nearest.shape)[closer]
-        distance[closer] = merged[closer]
+        np.copyto(nearest, keep[:, None], where=closer)
+        np.copyto(distance, merged, where=closer)
         which, slot = np.nonzero(stale)
         lines = stack[which, slot]
-        low = lines.min(axis=1)
-        nearest[which, slot] = np.where(lines == low[:, None], ids[which], no_id).argmin(axis=1)
-        distance[which, slot] = low
+        near = lines.argmin(axis=1)
+        nearest[which, slot] = near
+        distance[which, slot] = lines[np.arange(len(which)), near]
     return [
         Dendrogram(n, tuple(left), tuple(right), tuple(height))
         for left, right, height in zip(lefts.T.tolist(), rights.T.tolist(), heights.T.tolist())

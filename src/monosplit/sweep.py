@@ -124,7 +124,7 @@ class SweepFailure:
 # a stack adds: 40 weight vectors at 160 entities, 1820 at 24.  Each merge step
 # costs a stack a fixed numpy overhead besides its per-matrix work, so larger
 # stacks cluster faster: against 2 MiB, a serial step-10 sweep at 160 entities
-# took 7.4-7.5 s instead of 10.2-10.4 s, for 8 MiB more peak RSS (2-core VM).
+# took 7.4-7.5 s instead of 9.7-10.7 s, for 7 MiB more peak RSS (2-core VM).
 _STACK_BYTES = 8 * 1024 * 1024
 
 
@@ -151,8 +151,8 @@ def _score_grid(
             # with a zero diagonal, so it needs none of agglomerate's checks
             batch[i] = to_dissimilarity(blend(stack, weights))
         if len(vectors) == 1:
-            # on one matrix the slot kernel beats the stacked one: 0.6 against
-            # 2.2 ms at 24 entities, 6.3-7.4 against 15.6-16.1 ms at 160
+            # on one matrix the slot kernel beats the stacked one: 0.6-0.8 against
+            # 2.0-2.5 ms at 24 entities, 6.9-7.3 against 14.0-14.4 ms at 160
             dendrograms = [agglomerate(batch[0])]
         else:
             dendrograms = agglomerate_stack(batch[: len(vectors)])

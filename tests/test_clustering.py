@@ -406,6 +406,24 @@ def test_stacked_upgma_matches_agglomerate_and_oracle_on_ultrametrics(stack):
         assert _merge_triples(dendrogram) == [tuple(m) for m in upgma_merges(matrix.tolist())]
 
 
+def test_stacked_upgma_rescans_the_merged_row():
+    """The smallest matrix found where the merged row's cached slot is not its partner.
+
+    After 0 and 1 merge into cluster 4, row 2 caches cluster 4's slot at 0.25,
+    but pairs with cluster 3, the smallest id at that distance; its merged row
+    must be scanned again, or cluster 5 keeps 0.25 to cluster 4, not 0.3125.
+    """
+    matrix = np.array(
+        [[0, 0.25, 0.25, 0.25], [0.25, 0, 0.25, 0.5], [0.25, 0.25, 0, 0.25], [0.25, 0.5, 0.25, 0]]
+    )
+    graded = np.array([[0, 0.5, 0.75, 1], [0.5, 0, 0.25, 0.75], [0.75, 0.25, 0, 0.5], [1, 0.75, 0.5, 0]])
+    level = 1 - np.eye(4)
+    for stack in (matrix[None], np.stack([graded, matrix, level])):
+        for one, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
+            assert dendrogram == agglomerate(one)
+    assert agglomerate(matrix).height == (0.25, 0.25, 0.3125)
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (2, 0, 0)])
 def test_agglomerate_stack_rejects_bad_shape(shape):
     with pytest.raises(ClusteringError, match="stack"):
