@@ -117,14 +117,17 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     matrices, so a stack of several beats `agglomerate` on each in turn; on a
     single matrix `agglomerate` is faster.
 
-    Each of a matrix's n slots holds one live cluster.  Row r caches its exact
-    smallest distance and the first slot at it that `argmin` returns.  Of the
-    rows at the smallest cached distance, the one with the smallest id is the
-    pair's first cluster, and the smallest id at that distance in its row is
-    the second: the pair `agglomerate` picks.  The merged cluster takes the
-    lower slot, and the other slot's column goes to infinity.  The merged row
-    and the rows whose cached slot was one of the pair's are scanned again;
-    another row moves to the merged cluster only when it is strictly closer.
+    Before merge step s each matrix keeps its m = n - s live clusters in
+    slots 0 .. m-1, and the step reads and writes only that m x m prefix.
+    Row r caches its exact smallest distance and the id of the cluster in the
+    first slot at it that `argmin` returns.  Of the rows at the smallest
+    cached distance, the one with the smallest id is the pair's first
+    cluster, and the smallest id at that distance in its row is the second:
+    the pair `agglomerate` picks.  The merged cluster takes the lower slot of
+    the pair; the cluster in the last live slot moves into the upper one,
+    with its row, column, id, size and cache.  The merged row and the rows
+    whose cached cluster was one of the pair are scanned again; another row
+    moves to the merged cluster only when it is strictly closer.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ClusteringError("expected a stack of non-empty square matrices")
@@ -133,45 +136,53 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     stack[:, np.arange(n), np.arange(n)] = np.inf
     ids = np.tile(np.arange(n), (count, 1))
     sizes = np.ones((count, n), dtype=int)
-    live = np.ones((count, n), dtype=bool)
-    nearest = stack.argmin(axis=2)
+    nearest = stack.argmin(axis=2)  # cluster ids, which are the slots before any merge
     distance = stack.min(axis=2)
     no_id = 2 * n
     lefts = np.empty((n - 1, count), dtype=int)
     rights = np.empty((n - 1, count), dtype=int)
     heights = np.empty((n - 1, count))
     for step in range(n - 1):
-        lowest = distance.min(axis=1)
-        row = np.where(distance == lowest[:, None], ids, no_id).argmin(axis=1)
-        row_line = stack[batch, row]
-        partner = np.where(row_line == lowest[:, None], ids, no_id).argmin(axis=1)
+        last = n - 1 - step  # the last live slot; after this merge, slots 0 .. last-1 are live
+        live_distance, live_ids = distance[:, : last + 1], ids[:, : last + 1]
+        lowest = live_distance.min(axis=1, out=heights[step])
+        row = np.where(live_distance == lowest[:, None], live_ids, no_id).argmin(axis=1)
+        row_line = stack[batch, row, : last + 1]
+        partner = np.where(row_line == lowest[:, None], live_ids, no_id).argmin(axis=1)
         row_id, partner_id = ids[batch, row], ids[batch, partner]
-        lefts[step] = np.minimum(row_id, partner_id)
-        rights[step] = np.maximum(row_id, partner_id)
-        heights[step] = lowest
+        np.minimum(row_id, partner_id, out=lefts[step])
+        np.maximum(row_id, partner_id, out=rights[step])
         row_size, partner_size = sizes[batch, row], sizes[batch, partner]
+        size = row_size + partner_size
+        # infinite at the pair's own slots, where one of the two lines holds its diagonal
         merged = (
-            row_size[:, None] * row_line + partner_size[:, None] * stack[batch, partner]
-        ) / (row_size + partner_size)[:, None]
+            row_size[:, None] * row_line
+            + partner_size[:, None] * stack[batch, partner, : last + 1]
+        ) / size[:, None]
         keep, gone = np.minimum(row, partner), np.maximum(row, partner)
-        merged[batch, keep] = merged[batch, gone] = np.inf
-        stack[batch, keep, :] = merged
-        stack[batch, :, keep] = merged
-        stack[batch, :, gone] = np.inf
+        # the last live cluster moves into the upper slot (onto itself when it is that slot);
+        # the row copy takes its diagonal along, which the column copy puts at (gone, gone)
+        merged[batch, gone] = merged[:, last]
+        merged = merged[:, :last]
+        stack[batch, gone, : last + 1] = stack[:, last, : last + 1]
+        stack[batch, :last, gone] = stack[:, :last, last]
+        stack[batch, keep, :last] = merged
+        stack[batch, :last, keep] = merged
+        for array in (ids, sizes, nearest, distance):
+            array[batch, gone] = array[:, last]
         ids[batch, keep] = n + step
-        sizes[batch, keep] = row_size + partner_size
-        live[batch, gone] = False
-        distance[batch, gone] = np.inf
-        stale = live & ((nearest == row[:, None]) | (nearest == partner[:, None]))
-        stale[batch, keep] = True  # its cached slot may be a third cluster, not the partner
-        closer = merged < distance
-        np.copyto(nearest, keep[:, None], where=closer)
-        np.copyto(distance, merged, where=closer)
+        sizes[batch, keep] = size
+        near, live_distance = nearest[:, :last], distance[:, :last]
+        stale = (near == row_id[:, None]) | (near == partner_id[:, None])
+        stale[batch, keep] = True  # its cached cluster may be a third one, not the partner
+        closer = merged < live_distance
+        np.copyto(near, n + step, where=closer)
+        np.copyto(live_distance, merged, where=closer)
         which, slot = np.nonzero(stale)
-        lines = stack[which, slot]
-        near = lines.argmin(axis=1)
-        nearest[which, slot] = near
-        distance[which, slot] = lines[np.arange(len(which)), near]
+        lines = stack[which, slot, :last]
+        closest = lines.argmin(axis=1)
+        nearest[which, slot] = ids[which, closest]
+        distance[which, slot] = lines[np.arange(len(which)), closest]
     return [
         Dendrogram(n, tuple(left), tuple(right), tuple(height))
         for left, right, height in zip(lefts.T.tolist(), rights.T.tolist(), heights.T.tolist())

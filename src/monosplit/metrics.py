@@ -24,7 +24,8 @@ class Scorer:
 
     Bit i of a member mask stands for entity i of the model, in sorted order.
     The terms that depend on one cluster alone are computed once per distinct
-    mask, and the splitting cost once per set of distributed functionalities.
+    mask, for all the masks not seen yet in one pass over arrays, and the
+    splitting cost once per set of distributed functionalities.
     Sums run in cluster order, and coupling's in (i, j) order, so a memoized
     term gives the same bits as a fresh one.
     """
@@ -32,21 +33,15 @@ class Scorer:
     def __init__(self, model: AccessModel, authors: np.ndarray):
         """`authors` is the entity x author incidence, bool, a row per entity of the model."""
         incidence = model.incidence
+        self.n_entities = len(model.entities)
         self.n_functionalities = len(model.functionalities)
         self.ceiling = max_complexity(model)
         self.n_authors = authors.shape[1]
-        # Functionality f touches the entities of _touching[f].  Entity i is
-        # touched by the functionalities of _touched_by[i], steps straight to
-        # the entities of _targets[i] and has the authors of _authors[i].
-        self._touching = [_mask(np.flatnonzero(row)) for row in incidence.touch]
-        self._touched_by = [_mask(np.flatnonzero(column)) for column in incidence.touch.T]
-        self._targets = [0] * len(model.entities)
-        for a, b in zip(incidence.step_from.tolist(), incidence.step_to.tolist()):
-            self._targets[a] |= 1 << b
-        self._authors = [
-            int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(authors, axis=1, bitorder="little")
-        ]
+        # Entity x (functionality, then author) incidence: 1 where the
+        # functionality touches the entity or the author changed its file; and
+        # entity x entity, 1 where some trace steps from the one straight to the other.
+        self._touched_or_authored = _by_column(np.hstack([incidence.touch.T, authors]))
+        self._steps_to = _by_column(incidence.steps > 0)
         # With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d,
         # a read of e by f pays w_e less f's own write of e, and a write pays r_e
         # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b).
@@ -58,24 +53,51 @@ class Scorer:
     def clusters(self, partition: tuple[int, ...]) -> list[Cluster]:
         """The per-cluster terms of each member mask of the partition, in its order."""
         memo = self._clusters
-        out = []
-        for mask in partition:
-            terms = memo.get(mask)
-            if terms is None:
-                terms = memo[mask] = self._cluster(mask)
-            out.append(terms)
-        return out
+        unseen = [mask for mask in partition if mask not in memo]
+        if unseen:
+            self.memoize(unseen)
+        return [memo[mask] for mask in partition]
 
-    def _cluster(self, mask: int) -> Cluster:
-        functionalities = targets = authors = 0
-        for i in members(mask):
-            functionalities |= self._touched_by[i]
-            targets |= self._targets[i]
-            authors |= self._authors[i]
-        size = mask.bit_count()
-        # share of the cluster each touching functionality touches, in model order
-        shares = [(self._touching[f] & mask).bit_count() / size for f in members(functionalities)]
-        return (mask, size, sum(shares) / len(shares), authors.bit_count(), functionalities, targets)
+    def memoize(self, masks) -> None:
+        """Compute the terms of the member masks not seen yet, all in one pass."""
+        memo = self._clusters
+        unseen = [mask for mask in dict.fromkeys(masks) if mask not in memo]
+        if not unseen:
+            return
+        width = (self.n_entities + 7) // 8
+        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in unseen), np.uint8)
+        membership = np.unpackbits(
+            packed.reshape(len(unseen), width), axis=1, count=self.n_entities, bitorder="little"
+        )
+        sizes = np.count_nonzero(membership, axis=1)
+        # members of each cluster each functionality touches, then each author changed
+        count_type = np.min_scalar_type(self.n_entities)
+        counts = _reduce_columns(np.add, membership, self._touched_or_authored, count_type)
+        touching = counts[:, : self.n_functionalities]
+        # share of the cluster each touching functionality touches, in float64, summed
+        # one by one in model order (a functionality not touching it adds 0.0)
+        shares = np.cumsum(touching / sizes[:, None], axis=1)[:, -1]
+        cohesions = shares / np.count_nonzero(touching, axis=1)
+        author_counts = np.count_nonzero(counts[:, self.n_functionalities :], axis=1)
+        functionalities = np.packbits(touching > 0, axis=1, bitorder="little")
+        reached = _reduce_columns(np.logical_or, membership.view(bool), self._steps_to, bool)
+        targets = np.packbits(reached, axis=1, bitorder="little")
+        for mask, size, cohesion_term, author_count, touched_by, steps_to in zip(
+            unseen,
+            sizes.tolist(),
+            cohesions.tolist(),
+            author_counts.tolist(),
+            functionalities,
+            targets,
+        ):
+            memo[mask] = (
+                mask,
+                size,
+                cohesion_term,
+                author_count,
+                int.from_bytes(touched_by.tobytes(), "little"),
+                int.from_bytes(steps_to.tobytes(), "little"),
+            )
 
     def splitting_cost(self, clusters: list[Cluster]) -> int:
         """Rework cost of the functionalities split across clusters.
@@ -98,10 +120,28 @@ class Scorer:
         return cost
 
 
-def _mask(indices: np.ndarray) -> int:
-    out = 0
-    for i in indices.tolist():
-        out |= 1 << i
+def _by_column(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A 0/1 table as its nonzero cells grouped by column.
+
+    Returns the cells' rows, column by column; where each column that has
+    cells starts among them; those columns; and the table's width.
+    """
+    column, row = np.nonzero(table.T)
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
+    return row, starts, column[starts], table.shape[1]
+
+
+def _reduce_columns(ufunc, membership: np.ndarray, table: tuple, dtype) -> np.ndarray:
+    """`ufunc` over each cluster's members in each column of a `_by_column` table.
+
+    A row of `membership` is a cluster's 0/1 indicator over the entities,
+    which are the table's rows: `np.add` counts the cluster's members in each
+    column, `np.logical_or` tells whether it has any.  The result has
+    `dtype`; when that is membership's own, the gathered cells are not cast.
+    """
+    rows, starts, columns, width = table
+    out = np.zeros((len(membership), width), dtype=dtype)
+    out[:, columns] = ufunc.reduceat(membership[:, rows], starts, axis=1, dtype=dtype)
     return out
 
 

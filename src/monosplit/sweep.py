@@ -13,6 +13,7 @@ import numpy as np
 
 from .accesses import AccessModel
 from .clustering import (  # `cut` stays importable here: benchmark/tracing.py wraps it by this name
+    Dendrogram,
     agglomerate,
     agglomerate_stack,
     cut,
@@ -124,7 +125,8 @@ class SweepFailure:
 # a stack adds: 40 weight vectors at 160 entities, 1820 at 24.  Each merge step
 # costs a stack a fixed numpy overhead besides its per-matrix work, so larger
 # stacks cluster faster: against 2 MiB, a serial step-10 sweep at 160 entities
-# took 7.4-7.5 s instead of 9.7-10.7 s, for 7 MiB more peak RSS (2-core VM).
+# took 7.7-9.0 s instead of 11.8-12.3 s, for 6.5 MiB more peak RSS (2-core VM,
+# three fresh processes each).
 _STACK_BYTES = 8 * 1024 * 1024
 
 
@@ -150,15 +152,19 @@ def _score_grid(
             # 100, so the matrix is finite; to_dissimilarity makes it exactly symmetric
             # with a zero diagonal, so it needs none of agglomerate's checks
             batch[i] = to_dissimilarity(blend(stack, weights))
-        if len(vectors) == 1:
-            # on one matrix the slot kernel beats the stacked one: 0.6-0.8 against
-            # 2.0-2.5 ms at 24 entities, 6.9-7.3 against 14.0-14.4 ms at 160
-            dendrograms = [agglomerate(batch[0])]
-        else:
-            dendrograms = agglomerate_stack(batch[: len(vectors)])
-        for weights, dendrogram in zip(vectors, dendrograms):
+        # the dendrograms are dropped once cut, before the scorer's pass allocates
+        stack_partitions = [
+            cuts(dendrogram, counts) for dendrogram in _dendrograms(batch[: len(vectors)])
+        ]
+        # the clusters this stack cuts that no earlier stack did are scored in one pass
+        scorer.memoize(
+            mask
+            for partitions in stack_partitions
+            for partition in partitions.values()
+            for mask in partition
+        )
+        for weights, partitions in zip(vectors, stack_partitions):
             group = classify_group(weights)
-            partitions = cuts(dendrogram, counts)
             for n in counts:
                 partition = partitions[n]
                 record = scored.get(partition)
@@ -173,6 +179,14 @@ def _score_grid(
                 else:
                     rows.append(ResultRow(codebase, n, weights, group, record))
     return rows, failures
+
+
+def _dendrograms(stack: np.ndarray) -> list[Dendrogram]:
+    if len(stack) == 1:
+        # on one matrix the slot kernel beats the stacked one: medians of 0.57
+        # against 1.6 ms at 24 entities, 6.2 against 17 ms at 160 (2-core VM)
+        return [agglomerate(stack[0])]
+    return agglomerate_stack(stack)
 
 
 def run_sweep(

@@ -342,6 +342,53 @@ def history_counts(commits, max_files=100):
     )
 
 
+def cluster_terms(model, authors, mask):
+    """The package's former per-member scoring of one cluster, kept as a referee.
+
+    Verbatim but for two edits: the bit tables `Scorer.__init__` built once
+    per model are built here on each call, and a local `_members` stands in
+    for `clustering.members`.  Returns the scorer's terms of the cluster:
+    (member mask, size, cohesion term, author count, mask of the
+    functionalities touching it, mask of the entities its traces step to
+    straight from it).
+    """
+    incidence = model.incidence
+    touching = [_mask(np.flatnonzero(row)) for row in incidence.touch]
+    touched_by = [_mask(np.flatnonzero(column)) for column in incidence.touch.T]
+    targets_of = [0] * len(model.entities)
+    for a, b in zip(incidence.step_from.tolist(), incidence.step_to.tolist()):
+        targets_of[a] |= 1 << b
+    authors_of = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(authors, axis=1, bitorder="little")
+    ]
+    functionalities = targets = author_bits = 0
+    for i in _members(mask):
+        functionalities |= touched_by[i]
+        targets |= targets_of[i]
+        author_bits |= authors_of[i]
+    size = mask.bit_count()
+    # share of the cluster each touching functionality touches, in model order
+    shares = [(touching[f] & mask).bit_count() / size for f in _members(functionalities)]
+    return (mask, size, sum(shares) / len(shares), author_bits.bit_count(), functionalities, targets)
+
+
+def _mask(indices):
+    out = 0
+    for i in indices.tolist():
+        out |= 1 << i
+    return out
+
+
+def _members(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def history_from_json_dict(raw):
     """The package's former history.json validator, which walked the dicts pair by pair.
 

@@ -424,6 +424,45 @@ def test_stacked_upgma_rescans_the_merged_row():
     assert agglomerate(matrix).height == (0.25, 0.25, 0.3125)
 
 
+# The stacked kernel keeps the live clusters in a shrinking prefix of slots: a
+# merge frees its pair's upper slot, and the cluster in the last live slot moves
+# into it.  Both kernels meet these cases.  Entries are eighths, so every
+# average is exact and the oracle's plain mean agrees with the kernels' update
+# bit for bit.
+PREFIX_CASES = {
+    # (2, 3) merge first: the pair's upper slot is the last live one and moves onto itself
+    "self_move": [[0, 2, 4, 6], [2, 0, 6, 4], [4, 6, 0, 1], [6, 4, 1, 0]],
+    # (0, 1) merge first and cluster 4, the nearest of rows 2 and 3, moves from the last
+    # slot into slot 1; when 3 and 4 merge next (in place, at the last slot again) row 2
+    # must be scanned again: its 3/8 to cluster 4 becomes 4/8 to cluster 6
+    "moved_nearest": [
+        [0, 1, 6, 6, 6],
+        [1, 0, 6, 6, 6],
+        [6, 6, 0, 5, 3],
+        [6, 6, 5, 0, 2],
+        [6, 6, 3, 2, 0],
+    ],
+    "one_leaf": [[0]],
+    "two_leaves": [[0, 3], [3, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_prefix_edge_cases_match_the_oracle(case):
+    matrix = np.array(PREFIX_CASES[case], dtype=float) / 8
+    mirrored = matrix[::-1, ::-1].copy()
+    assert _merge_triples(agglomerate(matrix)) == _oracle(matrix)
+    for stack in (matrix[None], np.stack([matrix, mirrored])):
+        for one, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
+            assert _merge_triples(dendrogram) == _oracle(one)
+    if case == "moved_nearest":
+        assert _oracle(matrix) == [(0, 1, 0.125), (3, 4, 0.25), (2, 6, 0.5), (5, 7, 0.75)]
+
+
+def _oracle(matrix):
+    return [tuple(merge) for merge in upgma_merges(matrix.tolist())]
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (2, 0, 0)])
 def test_agglomerate_stack_rejects_bad_shape(shape):
     with pytest.raises(ClusteringError, match="stack"):

@@ -218,6 +218,48 @@ def test_tsr_rejects_history_without_authors():
         _tsr([["A"]], NO_HISTORY, {"A": None})
 
 
+# ------------------------------------------------------------ batched terms
+
+
+@pytest.mark.parametrize("n", [13, 64, 65, 160, 300])
+def test_batched_terms_equal_the_former_per_member_loop(n):
+    """One pass over many masks gives each the terms of the per-member loop, bit for bit.
+
+    The sizes put the last entity on either side of a byte of the member,
+    target and functionality bits; nine authors take two bytes.  One
+    functionality touches every entity but Z, so at 300 entities a count
+    outgrows a byte.
+    """
+    rng = random.Random(f"batched/{n}")
+    traces = random_traces(rng, n - 1, 11, max_extra=12)
+    traces["f11"] = [(f"E{i:02d}", "W") for i in range(n - 1)]
+    traces["f00"].append(("Z", "R"))  # no trace steps on from Z
+    model = to_model(traces)
+    z = model.entities.index("Z")
+    assert z not in model.incidence.step_from.tolist()
+    commits, files = random_commits(rng, model.entities, n_authors=9, extra_commits=2 * n)
+    authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
+    masks = [(1 << n) - 1, 1 << z] + [1 << rng.randrange(n) for _ in range(5)]
+    for k in (2, 3, 7, 10):
+        masks += partition_masks(model.entities, random_partition(rng, model.entities, k))
+    masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(20)]
+    scorer = Scorer(model, authors)
+    scorer.memoize(masks)
+    for mask in masks:
+        assert scorer.clusters((mask,)) == [oracles.cluster_terms(model, authors, mask)]
+
+
+def test_batched_terms_without_authors_keep_the_tsr_error():
+    rng = random.Random(13)
+    model = to_model(random_traces(rng, 13, 4))
+    authors = NO_HISTORY.entity_authors([None] * len(model.entities))
+    scorer = Scorer(model, authors)
+    partition = partition_masks(model.entities, random_partition(rng, model.entities, 3))
+    assert scorer.clusters(partition) == [oracles.cluster_terms(model, authors, m) for m in partition]
+    with pytest.raises(MetricsError, match=r"^history has no authors$"):
+        evaluate(scorer, partition)
+
+
 # ------------------------------------------------------------------ combined
 
 

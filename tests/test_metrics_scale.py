@@ -133,7 +133,8 @@ def test_evaluate_matches_oracles_at_benchmark_scale(seed, n_entities, n_functio
 # third, before the sweep clustered its weight vectors in stacks; the fourth,
 # on the default step-10 grid, before partitions went to the metrics as member
 # masks.  At 160 entities the 21 vectors of the step-50 grid are clustered as
-# stacks of 10, 10 and 1.  Re-take them when the blend or the linkage changes:
+# one stack (as stacks of 10, 10 and 1 when the third was taken).  Re-take them
+# when the blend or the linkage changes:
 # a different summation order can tie-break UPGMA merges differently and
 # change the rows.
 SWEEP_SHA256 = {
