@@ -18,59 +18,20 @@ class AccessModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class Incidence:
-    """Integer views of the traces: functionalities in model order, entities in sorted order."""
-
-    read: np.ndarray  # (functionalities, entities): 1 where the functionality reads the entity
-    write: np.ndarray  # (functionalities, entities): 1 where it writes the entity
-    touch: np.ndarray  # (functionalities, entities): 1 where it reads or writes the entity
-    steps: np.ndarray  # (entities, entities): how often a trace steps from one to the other
-    # The nonzero cells of steps in row-major order: some trace steps straight
-    # from entity step_from[i] to entity step_to[i].
-    step_from: np.ndarray
-    step_to: np.ndarray
-    singletons_cost: int  # all-singletons splitting cost ignoring modes (max_complexity numerator)
-
-
-@dataclass(frozen=True)
 class AccessModel:
     """All functionalities of one monolith and their incidence arrays.
 
-    The entity set is derived: exactly the names appearing in traces.
+    The entity set is derived: exactly the names appearing in traces.  The
+    arrays have a row per functionality, in model order, and a column per
+    entity, in sorted order; `steps` has a row and a column per entity.
     """
 
     functionalities: tuple[str, ...]  # names, in input order
     entities: tuple[str, ...]  # sorted
-    incidence: Incidence
-
-
-def _incidence(traces: list[list], entities: tuple[str, ...]) -> Incidence:
-    """Read, write and step-count arrays of validated traces of [entity, mode] steps."""
-    n = len(entities)
-    column = {e: i for i, e in enumerate(entities)}
-    cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
-    step_cells: list[int] = []  # from * n + to, once per step
-    for row, trace in enumerate(traces):
-        path = [column[entity] for entity, _ in trace]
-        for (_, mode), entity in zip(trace, path):
-            cells[mode].append(row * n + entity)
-        step_cells.extend(a * n + b for a, b in zip(path, path[1:]))
-    read = np.zeros((len(traces), n), dtype=np.int64)
-    write = np.zeros_like(read)
-    read.flat[cells[READ]] = 1
-    write.flat[cells[WRITE]] = 1
-    step_index = np.array(step_cells, dtype=np.intp)
-    steps = np.bincount(step_index, minlength=n * n).reshape(n, n)
-    # np.nonzero(steps), without scanning all n * n cells
-    step_from, step_to = np.divmod(np.unique(step_index), n)
-    # A functionality touching two entities is split by the all-singletons
-    # decomposition; each of its distinct (entity, mode) accesses costs one
-    # per other such functionality touching that entity in any mode.
-    touch = read | write
-    distributed = touch.sum(axis=1) >= 2
-    touchers = touch[distributed].sum(axis=0)
-    accesses = (read + write)[distributed].sum(axis=0)
-    return Incidence(read, write, touch, steps, step_from, step_to, int(accesses @ (touchers - 1)))
+    read: np.ndarray  # 1 where the functionality reads the entity
+    write: np.ndarray  # 1 where it writes the entity
+    touch: np.ndarray  # 1 where it reads or writes the entity
+    steps: np.ndarray  # how often a trace steps from the row's entity straight to the column's
 
 
 def _reject_duplicate_keys(pairs):
@@ -105,4 +66,18 @@ def load_access_model(text: str) -> AccessModel:
                 raise AccessModelError(f"bad access mode in {name!r}: {mode!r}")
     traces = list(raw.values())
     entities = tuple(sorted({entity for trace in traces for entity, _ in trace}))
-    return AccessModel(tuple(raw), entities, _incidence(traces, entities))
+    n = len(entities)
+    column = {e: i for i, e in enumerate(entities)}
+    cells: dict[str, list[int]] = {READ: [], WRITE: []}  # row * n + column
+    step_cells: list[int] = []  # from * n + to, once per step
+    for row, trace in enumerate(traces):
+        path = [column[entity] for entity, _ in trace]
+        for (_, mode), entity in zip(trace, path):
+            cells[mode].append(row * n + entity)
+        step_cells.extend(a * n + b for a, b in zip(path, path[1:]))
+    read = np.zeros((len(traces), n), dtype=np.int64)
+    write = np.zeros_like(read)
+    read.flat[cells[READ]] = 1
+    write.flat[cells[WRITE]] = 1
+    steps = np.bincount(np.array(step_cells, dtype=np.intp), minlength=n * n).reshape(n, n)
+    return AccessModel(tuple(raw), entities, read, write, read | write, steps)

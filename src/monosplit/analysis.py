@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sweep import GROUPS, ResultRow
+from .metrics import MetricsRecord
+from .sweep import GROUPS, METRIC_COLUMNS, ResultRow
 
-METRIC_COLUMNS = ("uniformComplexity", "cohesion", "coupling", "tsr", "combined")
-_METRIC_ATTRIBUTES = dict(
-    zip(METRIC_COLUMNS, ("uniform_complexity", "cohesion", "coupling", "tsr", "combined"))
-)
+_METRIC_ATTRIBUTES = dict(zip(METRIC_COLUMNS, (f.name for f in fields(MetricsRecord))))
 HIGHER_IS_BETTER = {"cohesion"}
 
 SMALL = "SMALL"

@@ -24,11 +24,25 @@ from .analysis import (
 from .clustering import Decomposition, agglomerate, cut, to_dissimilarity
 from .history import DevelopmentHistory, mine_history, read_git_log
 from .similarity import SimilarityError, Weights, build_similarity_matrix, map_entities_to_files
-from .sweep import CSV_COLUMNS, GROUPS, read_results_csv, row_values, run_sweep, write_results_csv
+from .sweep import (
+    CSV_COLUMNS,
+    GROUPS,
+    STEPS,
+    read_results_csv,
+    row_values,
+    run_sweep,
+    write_results_csv,
+)
 
 
 class UsageError(Exception):
     """Bad invocation (distinct from a pipeline failure)."""
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _read_text(path: str) -> str:
@@ -190,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from its git history and its functionality access traces.",
     )
     parser.add_argument("--version", action="version", version=f"monosplit {__version__}")
-    parser.add_argument("--parallelism", type=int, default=1, metavar="N",
+    parser.add_argument("--parallelism", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the sweep (default 1)")
     parser.add_argument("--quiet", action="store_true", help="suppress warnings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -222,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--history", required=True, help="history JSON from mine")
     sweep.add_argument("--accesses", required=True, help="functionality access JSON")
     sweep.add_argument("--codebase", required=True, help="codebase id for the result rows")
-    sweep.add_argument("--step", type=int, default=10, help="weight grid step (default 10)")
+    sweep.add_argument("--step", type=int, choices=STEPS, default=10,
+                       help="weight grid step, a divisor of 100 (default 10)")
     sweep.add_argument("--ext", default=".java", help="entity file extension (default .java)")
     sweep.add_argument("--out", required=True, help="output results CSV path")
     sweep.set_defaults(func=_cmd_sweep)

@@ -238,19 +238,13 @@ class Decomposition:
 
     codebase: str
     clusters: tuple[tuple[str, ...], ...]  # canonical: members sorted, clusters sorted
-    weights: Weights | None = None
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "codebase": self.codebase,
-            "weights": list(self.weights.as_tuple()) if self.weights else None,
-            "nClusters": self.n_clusters,
-            "clusters": [list(cluster) for cluster in self.clusters],
-        }
+    weights: Weights
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        document = {
+            "codebase": self.codebase,
+            "weights": list(self.weights.as_tuple()),
+            "nClusters": len(self.clusters),
+            "clusters": [list(cluster) for cluster in self.clusters],
+        }
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -223,63 +223,11 @@ def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> lis
     return bundles
 
 
-def _int64s(values: list, what: str) -> np.ndarray:
+def _int64s(values, what: str) -> np.ndarray:
     try:
-        return np.array(values, dtype=np.int64)
+        return np.fromiter(values, np.int64)
     except OverflowError:
         raise HistoryError(f"{what} does not fit in 64 bits") from None
-
-
-def _read_maps(
-    file_commit_count: dict[str, int],
-    co_changes: dict[str, dict[str, int]],
-    file_authors: dict[str, list[str]],
-) -> tuple:
-    """The fields of `DevelopmentHistory.from_maps`, before the pair checks."""
-    files = sorted(file_commit_count)
-    positions = {f: i for i, f in enumerate(files)}
-    commit_counts = _int64s([file_commit_count[f] for f in files], "commit count")
-    owners: list[int] = []
-    lengths: list[int] = []
-    partners: list[str] = []
-    values: list[int] = []
-    for filename, cells in co_changes.items():
-        owners.append(positions[filename])
-        lengths.append(len(cells))
-        partners.extend(cells)
-        values.extend(cells.values())
-    if not set(map(type, values)) <= {int}:  # not bool: JSON true is no count
-        filename, other, k = next(
-            (f, o, k)
-            for f, cells in co_changes.items()
-            for o, k in cells.items()
-            if type(k) is not int
-        )
-        raise HistoryError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
-    try:
-        pair_to = np.fromiter(map(positions.__getitem__, partners), np.int64, len(partners))
-    except KeyError as exc:
-        raise HistoryError(f"co-change partner not counted: {exc.args[0]!r}") from None
-    pair_from = np.repeat(np.array(owners, dtype=np.int64), lengths)
-    pair_count = _int64s(values, "co-change count")
-    order = np.argsort(pair_from * len(files) + pair_to, kind="stable")
-    authors = sorted(set().union(*file_authors.values()))
-    columns = {a: j for j, a in enumerate(authors)}
-    per_file = [file_authors.get(f, ()) for f in files]
-    authorship = np.zeros((len(files), len(authors)), dtype=bool)
-    authorship[
-        np.repeat(np.arange(len(files)), [len(a) for a in per_file]),
-        np.fromiter(map(columns.__getitem__, chain.from_iterable(per_file)), np.int64),
-    ] = True
-    return (
-        positions,
-        commit_counts,
-        pair_from[order],
-        pair_to[order],
-        pair_count[order],
-        tuple(authors),
-        authorship,
-    )
 
 
 def _json_block(items: list[str], depth: int, brackets: str) -> str:
@@ -393,25 +341,6 @@ class DevelopmentHistory:
             ]
         )
 
-    @classmethod
-    def from_maps(
-        cls,
-        file_commit_count: dict[str, int],
-        co_changes: dict[str, dict[str, int]],
-        file_authors: dict[str, list[str]],
-    ) -> "DevelopmentHistory":
-        """The history of three maps: commit counts, co-changes and author names per file.
-
-        Raises HistoryError where the maps cannot be read into the arrays
-        exactly (a co-change count that is not an int, a partner that is not
-        counted, or a count beyond int64) and where the co-change cells fail
-        the pair checks.
-        """
-        # the pair checks run once the reading's temporaries are freed
-        history = cls(*_read_maps(file_commit_count, co_changes, file_authors))
-        history._check_co_changes()
-        return history
-
     def _check_co_changes(self) -> None:
         """Every co-change count at least 1, between distinct files, symmetric and no larger
         than either file's commit count."""
@@ -447,11 +376,19 @@ class DevelopmentHistory:
             fail("co-change exceeds commit count", high[0])
 
     @classmethod
-    def from_json_dict(cls, raw: dict) -> "DevelopmentHistory":
-        """The history a parsed history.json describes.
+    def parse(cls, text: str) -> "DevelopmentHistory":
+        """The history a history.json document describes.
 
-        Checks the document's shape here and the co-change pairs in `from_maps`.
+        Raises HistoryError on a document that is not JSON or not of the
+        shape `serialize` writes, where it cannot be read into the arrays
+        exactly (a co-change count that is not an int, a partner that is not
+        counted, or a count beyond int64), and where the co-change cells fail
+        the pair checks.
         """
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise HistoryError(f"invalid history JSON: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"fileChanges", "authorship"}:
             raise HistoryError("history JSON must have fileChanges and authorship")
         changes = raw["fileChanges"]
@@ -460,18 +397,14 @@ class DevelopmentHistory:
             raise HistoryError("fileChanges and authorship must be objects")
         if set(changes) != set(authorship):
             raise HistoryError("fileChanges and authorship must cover the same files")
-        counts: dict[str, int] = {}
-        co: dict[str, dict[str, int]] = {}
         for filename, entry in changes.items():
             if not isinstance(entry, dict) or set(entry) != {"count", "with"}:
                 raise HistoryError(f"bad fileChanges entry for {filename!r}")
             count = entry["count"]
             if type(count) is not int or count < 1:  # not bool: JSON true is no count
                 raise HistoryError(f"bad commit count for {filename!r}: {count!r}")
-            counts[filename] = count
             if not isinstance(entry["with"], dict):
                 raise HistoryError(f"bad co-change map for {filename!r}")
-            co[filename] = entry["with"]
         for filename, names in authorship.items():
             if (
                 not isinstance(names, list)
@@ -481,15 +414,41 @@ class DevelopmentHistory:
                 raise HistoryError(f"bad author list for {filename!r}")
             if len(set(names)) != len(names):
                 raise HistoryError(f"repeated name in the author list of {filename!r}")
-        return cls.from_maps(counts, co, authorship)
-
-    @classmethod
-    def parse(cls, text: str) -> "DevelopmentHistory":
+        files = sorted(changes)
+        positions = {f: i for i, f in enumerate(files)}
+        commit_counts = _int64s([changes[f]["count"] for f in files], "commit count")
+        maps = [entry["with"] for entry in changes.values()]  # co-changes, in document order
+        lengths = list(map(len, maps))
+        # not bool: JSON true is no count
+        if not set(map(type, chain.from_iterable(map(dict.values, maps)))) <= {int}:
+            filename, other, k = next(
+                (f, o, k) for f, cells in zip(changes, maps) for o, k in cells.items()
+                if type(k) is not int
+            )
+            raise HistoryError(f"bad co-change count {filename!r}/{other!r}: {k!r}")
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise HistoryError(f"invalid history JSON: {exc}") from exc
-        return cls.from_json_dict(raw)
+            partners = map(positions.__getitem__, chain.from_iterable(maps))
+            pair_to = np.fromiter(partners, np.int64, sum(lengths))
+        except KeyError as exc:
+            raise HistoryError(f"co-change partner not counted: {exc.args[0]!r}") from None
+        pair_count = _int64s(chain.from_iterable(map(dict.values, maps)), "co-change count")
+        pair_from = np.repeat(np.fromiter(map(positions.__getitem__, changes), np.int64), lengths)
+        order = np.argsort(pair_from * len(files) + pair_to, kind="stable")
+        pair_from, pair_to, pair_count = pair_from[order], pair_to[order], pair_count[order]
+        del order  # freed before the pair checks, which allocate as much again
+        authors = sorted(set().union(*authorship.values()))
+        columns = {a: j for j, a in enumerate(authors)}
+        per_file = [authorship[f] for f in files]
+        author_cells = np.zeros((len(files), len(authors)), dtype=bool)
+        author_cells[
+            np.repeat(np.arange(len(files)), [len(a) for a in per_file]),
+            np.fromiter(map(columns.__getitem__, chain.from_iterable(per_file)), np.int64),
+        ] = True
+        history = cls(
+            positions, commit_counts, pair_from, pair_to, pair_count, tuple(authors), author_cells
+        )
+        history._check_co_changes()
+        return history
 
 
 def build_history_representation(

@@ -32,7 +32,6 @@ class Scorer:
 
     def __init__(self, model: AccessModel, authors: np.ndarray):
         """`authors` is the entity x author incidence, bool, a row per entity of the model."""
-        incidence = model.incidence
         self.n_entities = len(model.entities)
         self.n_functionalities = len(model.functionalities)
         self.ceiling = max_complexity(model)
@@ -40,13 +39,13 @@ class Scorer:
         # Entity x (functionality, then author) incidence: 1 where the
         # functionality touches the entity or the author changed its file; and
         # entity x entity, 1 where some trace steps from the one straight to the other.
-        self._touched_or_authored = _by_column(np.hstack([incidence.touch.T, authors]))
-        self._steps_to = _by_column(incidence.steps > 0)
+        self._touched_or_authored = _by_column(np.hstack([model.touch.T, authors]))
+        self._steps_to = _by_column(model.steps > 0)
         # With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d,
         # a read of e by f pays w_e less f's own write of e, and a write pays r_e
         # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b).
-        self._products = incidence.read @ incidence.write.T
-        self._both = (incidence.read & incidence.write).sum(axis=1)
+        self._products = model.read @ model.write.T
+        self._both = (model.read & model.write).sum(axis=1)
         self._clusters: dict[int, Cluster] = {}
         self._costs: dict[int, int] = {}
 
@@ -154,7 +153,10 @@ def max_complexity(model: AccessModel) -> float:
     """
     if not model.functionalities:
         return 0.0
-    return model.incidence.singletons_cost / len(model.functionalities)
+    distributed = model.touch.sum(axis=1) >= 2
+    touchers = model.touch[distributed].sum(axis=0)
+    accesses = (model.read + model.write)[distributed].sum(axis=0)
+    return int(accesses @ (touchers - 1)) / len(model.functionalities)
 
 
 def uniform_complexity(scorer: Scorer, clusters: list[Cluster]) -> float:

@@ -150,12 +150,11 @@ def measure_matrices(
     """
     entities = model.entities
     n = len(entities)
-    incidence = model.incidence
     stack = np.zeros((len(MEASURE_NAMES), n, n))
-    stack[0] = _mode_matrix(incidence.touch)
-    stack[1] = _mode_matrix(incidence.read)
-    stack[2] = _mode_matrix(incidence.write)
-    stack[3] = _sequence_matrix(incidence.steps)
+    stack[0] = _mode_matrix(model.touch)
+    stack[1] = _mode_matrix(model.read)
+    stack[2] = _mode_matrix(model.write)
+    stack[3] = _sequence_matrix(model.steps)
     if not include_history:
         return stack
     _validate_entity_files(model, history, entity_files)

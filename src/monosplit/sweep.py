@@ -33,6 +33,8 @@ HISTORY = "HISTORY"
 COMBINED = "COMBINED"
 GROUPS = (FILES_ONLY, AUTHORSHIP_ONLY, SEQUENCES_ONLY, HISTORY, COMBINED)
 
+# the CSV names of MetricsRecord's fields, in its order
+METRIC_COLUMNS = ("uniformComplexity", "cohesion", "coupling", "tsr", "combined")
 CSV_COLUMNS = (
     "codebase",
     "nClusters",
@@ -43,12 +45,11 @@ CSV_COLUMNS = (
     "wCommit",
     "wAuthor",
     "group",
-    "uniformComplexity",
-    "cohesion",
-    "coupling",
-    "tsr",
-    "combined",
+    *METRIC_COLUMNS,
 )
+
+# the weight grid steps: the divisors of 100
+STEPS = (1, 2, 4, 5, 10, 20, 25, 50, 100)
 
 
 class SweepError(ValueError):
@@ -57,7 +58,7 @@ class SweepError(ValueError):
 
 def enumerate_weights(step: int = 10) -> list[Weights]:
     """All weight vectors on the step grid summing to 100, in ascending lexicographic order."""
-    if step <= 0 or 100 % step != 0:
+    if step not in STEPS:
         raise SweepError(f"step must be a positive divisor of 100, got {step}")
     out = []
     grid = range(0, 101, step)

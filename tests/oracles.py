@@ -345,18 +345,18 @@ def history_counts(commits, max_files=100):
 def cluster_terms(model, authors, mask):
     """The package's former per-member scoring of one cluster, kept as a referee.
 
-    Verbatim but for two edits: the bit tables `Scorer.__init__` built once
-    per model are built here on each call, and a local `_members` stands in
-    for `clustering.members`.  Returns the scorer's terms of the cluster:
-    (member mask, size, cohesion term, author count, mask of the
-    functionalities touching it, mask of the entities its traces step to
-    straight from it).
+    Verbatim but for three edits: the bit tables `Scorer.__init__` built once
+    per model are built here on each call, the step pairs are read off
+    `model.steps`, and a local `_members` stands in for `clustering.members`.
+    Returns the scorer's terms of the cluster: (member mask, size, cohesion
+    term, author count, mask of the functionalities touching it, mask of the
+    entities its traces step to straight from it).
     """
-    incidence = model.incidence
-    touching = [_mask(np.flatnonzero(row)) for row in incidence.touch]
-    touched_by = [_mask(np.flatnonzero(column)) for column in incidence.touch.T]
+    touching = [_mask(np.flatnonzero(row)) for row in model.touch]
+    touched_by = [_mask(np.flatnonzero(column)) for column in model.touch.T]
     targets_of = [0] * len(model.entities)
-    for a, b in zip(incidence.step_from.tolist(), incidence.step_to.tolist()):
+    step_from, step_to = np.nonzero(model.steps)
+    for a, b in zip(step_from.tolist(), step_to.tolist()):  # Python ints: 1 << b for b >= 64
         targets_of[a] |= 1 << b
     authors_of = [
         int.from_bytes(row.tobytes(), "little")

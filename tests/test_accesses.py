@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,20 +18,20 @@ def test_load_single_functionality():
     model = load_access_model(CHECKOUT)
     assert model.entities == ("Card", "Order")
     assert model.functionalities == ("checkout",)
-    assert model.incidence.steps.tolist() == [[0, 0], [1, 0]]  # one step, from Order to Card
+    assert model.steps.tolist() == [[0, 0], [1, 0]]  # one step, from Order to Card
 
 
 def test_lookup_by_mode():
     model = load_access_model(CHECKOUT)
-    incidence = model.incidence  # one row per functionality, one column per sorted entity
-    assert incidence.read.tolist() == [[0, 1]]  # checkout reads Order
-    assert incidence.write.tolist() == [[1, 0]]  # and writes Card
-    assert incidence.touch.tolist() == [[1, 1]]
+    # one row per functionality, one column per sorted entity
+    assert model.read.tolist() == [[0, 1]]  # checkout reads Order
+    assert model.write.tolist() == [[1, 0]]  # and writes Card
+    assert model.touch.tolist() == [[1, 1]]
 
 
 def test_consecutive_duplicates_survive():
     model = load_access_model('{"f": [["A", "R"], ["A", "R"], ["A", "W"]]}')
-    assert model.incidence.steps.tolist() == [[2]]  # three accesses, two steps from A to A
+    assert model.steps.tolist() == [[2]]  # three accesses, two steps from A to A
 
 
 def test_empty_trace_is_allowed():
@@ -74,11 +73,10 @@ def test_any_is_union_of_read_and_write(traces):
     payload = {name: [[e, m] for e, m in steps] for name, steps in traces.items()}
     model = load_access_model(json.dumps(payload))
     assert set(model.entities) == {e for steps in traces.values() for e, _ in steps}
-    incidence = model.incidence
-    assert (incidence.touch == (incidence.read | incidence.write)).all()
+    assert (model.touch == (model.read | model.write)).all()
     names = model.functionalities
     for column, entity in enumerate(model.entities):
-        for array, mode in ((incidence.read, "R"), (incidence.write, "W"), (incidence.touch, "ANY")):
+        for array, mode in ((model.read, "R"), (model.write, "W"), (model.touch, "ANY")):
             accessing = {name for name, cell in zip(names, array[:, column]) if cell}
             assert accessing == oracles.funct_set(traces, entity, mode)
     stack = measure_matrices(model, empty_history(), {}, include_history=False)
@@ -92,10 +90,6 @@ def test_any_is_union_of_read_and_write(traces):
 def test_steps_count_every_directed_step(traces):
     payload = {name: [[e, m] for e, m in steps] for name, steps in traces.items()}
     model = load_access_model(json.dumps(payload))
-    incidence = model.incidence
     for i, first in enumerate(model.entities):
         for j, second in enumerate(model.entities):
-            assert incidence.steps[i, j] == oracles.step_count(traces, first, second)
-    step_from, step_to = np.nonzero(incidence.steps)
-    assert np.array_equal(incidence.step_from, step_from)
-    assert np.array_equal(incidence.step_to, step_to)
+            assert model.steps[i, j] == oracles.step_count(traces, first, second)

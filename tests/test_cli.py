@@ -236,6 +236,27 @@ def test_sweep_parallelism_flag_matches_serial(fixture_repo, tmp_path, accesses_
     assert serial.read_text() == parallel.read_text()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["sweep", "--step", "7"], "argument --step: invalid choice: 7"),
+        (["--parallelism", "0", "sweep"], "argument --parallelism: expected a positive integer"),
+    ],
+    ids=["step", "parallelism"],
+)
+def test_bad_step_or_parallelism_is_usage_error(
+    fixture_repo, tmp_path, accesses_path, capsys, flags, message
+):
+    history = _mine(fixture_repo, tmp_path)
+    results = tmp_path / "results.csv"
+    args = ["--history", str(history), "--accesses", str(accesses_path), "--codebase", "shop"]
+    with pytest.raises(SystemExit) as info:
+        main(flags + args + ["--out", str(results)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not results.exists()
+
+
 def test_sweep_is_deterministic(fixture_repo, tmp_path, accesses_path):
     history = _mine(fixture_repo, tmp_path)
     outs = []

@@ -488,13 +488,10 @@ def test_serialize_layout():
 
 
 def test_serialize_parse_round_trip():
-    for weights in (Weights(0, 0, 0, 40, 30, 30), None):
-        decomposition = Decomposition("shop", (("a", "b"), ("c",)), weights)
-        raw = json.loads(decomposition.serialize())
-        assert raw["nClusters"] == decomposition.n_clusters
-        again = Decomposition(
-            raw["codebase"],
-            tuple(map(tuple, raw["clusters"])),
-            Weights(*raw["weights"]) if raw["weights"] else None,
-        )
-        assert again == decomposition
+    decomposition = Decomposition("shop", (("a", "b"), ("c",)), Weights(0, 0, 0, 40, 30, 30))
+    raw = json.loads(decomposition.serialize())
+    assert raw["nClusters"] == len(decomposition.clusters)
+    again = Decomposition(
+        raw["codebase"], tuple(map(tuple, raw["clusters"])), Weights(*raw["weights"])
+    )
+    assert again == decomposition

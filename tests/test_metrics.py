@@ -23,6 +23,7 @@ from monosplit import metrics
 import oracles
 from synth import (
     commits_to_history,
+    empty_history,
     history_maps,
     partition_masks,
     random_commits,
@@ -36,7 +37,7 @@ def _model(payload):
     return load_access_model(json.dumps(payload))
 
 
-NO_HISTORY = DevelopmentHistory.from_maps({}, {}, {})
+NO_HISTORY = empty_history()
 
 
 def _scored(model, clusters, history=NO_HISTORY, files={}):
@@ -157,10 +158,12 @@ def test_exposure_is_directional():
 
 
 def _history(file_authors):
-    return DevelopmentHistory.from_maps(
-        {f: 1 for f in file_authors},
-        {f: {} for f in file_authors},
-        {f: frozenset(a) for f, a in file_authors.items()},
+    return DevelopmentHistory.parse(
+        oracles.history_json(
+            {f: 1 for f in file_authors},
+            {f: {} for f in file_authors},
+            {f: frozenset(a) for f, a in file_authors.items()},
+        )
     )
 
 
@@ -236,7 +239,7 @@ def test_batched_terms_equal_the_former_per_member_loop(n):
     traces["f00"].append(("Z", "R"))  # no trace steps on from Z
     model = to_model(traces)
     z = model.entities.index("Z")
-    assert z not in model.incidence.step_from.tolist()
+    assert not model.steps[z].any()
     commits, files = random_commits(rng, model.entities, n_authors=9, extra_commits=2 * n)
     authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
     masks = [(1 << n) - 1, 1 << z] + [1 << rng.randrange(n) for _ in range(5)]

@@ -161,18 +161,14 @@ _SHARED = (
 )
 
 
-@given(mapped_histories(), st.booleans())
+@given(mapped_histories())
 @example(
     (_SHARED, ["A", "A2", "B", "N"], {"A": "a.java", "A2": "a.java", "B": "b.java", "N": None}),
-    True,
 )
 @settings(max_examples=300, deadline=None)
-def test_history_measures_equal_the_former_loops(case, parsed):
+def test_history_measures_equal_the_former_loops(case):
     parts, entities, entity_files = case
-    if parsed:  # through the loader, or straight from the maps
-        history = DevelopmentHistory.parse(oracles.history_json(*parts))
-    else:
-        history = DevelopmentHistory.from_maps(*parts)
+    history = DevelopmentHistory.parse(oracles.history_json(*parts))
     counts, co_changes, file_authors = parts
     _, incidence, _ = oracles.entity_authors(file_authors, entity_files)
     assert _same_bits(history.entity_authors(list(entity_files.values())), incidence.astype(bool))
