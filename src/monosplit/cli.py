@@ -45,6 +45,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -212,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="mine a git repository or saved log into history JSON")
     mine.add_argument("source", help="repository directory or saved git log file")
     mine.add_argument("--ext", default=".java", help="file extension filter (default .java)")
-    mine.add_argument("--window-secs", type=int, default=3600,
-                      help="same-author bundling window in seconds (default 3600)")
-    mine.add_argument("--max-files", type=int, default=100,
+    mine.add_argument("--window-secs", type=_non_negative_int, default=3600,
+                      help="same-author bundling window in seconds, 0 for same-second "
+                      "commits only (default 3600)")
+    mine.add_argument("--max-files", type=_positive_int, default=100,
                       help="largest countable commit, in files (default 100)")
     mine.add_argument("--out", required=True, help="output history JSON path")
     mine.set_defaults(func=_cmd_mine)

@@ -7,27 +7,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accesses import AccessModel
-from .clustering import members
 
 
 class MetricsError(ValueError):
     """Invalid metric input."""
 
 
-# Terms of one cluster: (member mask, size, cohesion term, author count,
-# functionalities touching it, entities its traces step to straight from it)
-Cluster = tuple[int, int, float, int, int, int]
-
-
 class Scorer:
-    """One model's tables for scoring partitions given as member masks, memoized per cluster.
+    """One model's tables for scoring partitions given as member masks, memoized per partition.
 
     Bit i of a member mask stands for entity i of the model, in sorted order.
-    The terms that depend on one cluster alone are computed once per distinct
-    mask, for all the masks not seen yet in one pass over arrays, and the
-    splitting cost once per set of distributed functionalities.
-    Sums run in cluster order, and coupling's in (i, j) order, so a memoized
-    term gives the same bits as a fresh one.
+    `memoize` scores the partitions it has not seen yet in one array pass per
+    chunk, and keeps each one's record: its `MetricsRecord`, or the message
+    of its metric domain error.  The terms that depend on one cluster alone
+    are computed once per distinct mask and kept as a row of the cluster
+    tables; a chunk reaches the metrics as a table of those rows.  Sums run
+    in cluster order, and coupling's in (i, j) order, so a partition's record
+    has the same bits whatever chunk it was scored in.
     """
 
     def __init__(self, model: AccessModel, authors: np.ndarray):
@@ -43,31 +39,72 @@ class Scorer:
         self._steps_to = _by_column(model.steps > 0)
         # With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d,
         # a read of e by f pays w_e less f's own write of e, and a write pays r_e
-        # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b).
-        self._products = model.read @ model.write.T
-        self._both = (model.read & model.write).sum(axis=1)
-        self._clusters: dict[int, Cluster] = {}
-        self._costs: dict[int, int] = {}
+        # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b),
+        # taken in float64 products (see `splitting_cost`).
+        self.products = (model.read @ model.write.T).astype(float)
+        self.both = (model.read & model.write).sum(axis=1).astype(float)
+        # The cluster tables, a row per distinct member mask.  Row 0 pads a
+        # partition of fewer clusters than its table is wide: no members, no
+        # functionalities, no authors, and a size of 1 so that its counts divide to 0.0.
+        # Members and reach are bits packed little-endian in 64-bit words, as the
+        # masks are, a row per word and a column per cluster: a popcount of the AND
+        # of two clusters' words counts the entities in both.
+        words = -(-self.n_entities // 64)
+        self.sizes = np.ones(1, dtype=np.intp)
+        self.cohesions = np.zeros(1)
+        self.author_counts = np.zeros(1, dtype=np.intp)
+        self.touching = np.zeros((1, self.n_functionalities), dtype=bool)
+        self.members = np.zeros((words, 1), dtype=np.uint64)
+        self.reach = np.zeros((words, 1), dtype=np.uint64)
+        self._rows: dict[int, int] = {}  # member mask -> its row of the cluster tables
+        self.records: dict[tuple[int, ...], MetricsRecord | str] = {}
 
-    def clusters(self, partition: tuple[int, ...]) -> list[Cluster]:
-        """The per-cluster terms of each member mask of the partition, in its order."""
-        memo = self._clusters
-        unseen = [mask for mask in partition if mask not in memo]
-        if unseen:
-            self.memoize(unseen)
-        return [memo[mask] for mask in partition]
+    def memoize(self, partitions, max_bytes: int) -> None:
+        """Score the partitions not seen yet, in chunks of one array pass each.
 
-    def memoize(self, masks) -> None:
-        """Compute the terms of the member masks not seen yet, all in one pass."""
-        memo = self._clusters
-        unseen = [mask for mask in dict.fromkeys(masks) if mask not in memo]
+        A chunk holds as many partitions as keep the pass's temporaries within
+        about `max_bytes`, and at least one.
+        """
+        records = self.records
+        unseen = [partition for partition in dict.fromkeys(partitions) if partition not in records]
         if not unseen:
             return
-        width = (self.n_entities + 7) // 8
-        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in unseen), np.uint8)
-        membership = np.unpackbits(
-            packed.reshape(len(unseen), width), axis=1, count=self.n_entities, bitorder="little"
+        k = max(map(len, unseen))
+        # the pass's temporaries per partition: coupling's float64 share and uint64 AND
+        # of each pair of clusters, and the splitting cost's flag per cluster and
+        # functionality and four 8-byte numbers per functionality
+        size = max(1, max_bytes // (17 * k * k + (k + 32) * self.n_functionalities))
+        for start in range(0, len(unseen), size):
+            chunk = unseen[start : start + size]
+            records.update(zip(chunk, _score(self, self.table(chunk))))
+
+    def table(self, partitions) -> np.ndarray:
+        """The partitions as a (largest k, partitions) table of rows of the cluster tables.
+
+        Column p lists partition p's clusters in its order, then the padding
+        row 0.  Clusters not seen yet get their rows first, all in one pass.
+        """
+        masks = [mask for partition in partitions for mask in partition]
+        self._add_clusters(masks)
+        counts = np.fromiter(map(len, partitions), np.intp, len(partitions))
+        table = np.zeros((counts.max(), len(partitions)), dtype=np.intp)
+        table.T[np.arange(len(table)) < counts[:, None]] = np.fromiter(
+            map(self._rows.__getitem__, masks), np.intp, len(masks)
         )
+        return table
+
+    def _add_clusters(self, masks) -> None:
+        """Append the terms of the member masks not seen yet to the cluster tables, in one pass."""
+        rows = self._rows
+        unseen = [mask for mask in dict.fromkeys(masks) if mask not in rows]
+        if not unseen:
+            return
+        rows.update(zip(unseen, range(len(self.sizes), len(self.sizes) + len(unseen))))
+        width = 8 * len(self.members)
+        packed = np.frombuffer(
+            b"".join(mask.to_bytes(width, "little") for mask in unseen), np.uint8
+        ).reshape(len(unseen), width)
+        membership = np.unpackbits(packed, axis=1, count=self.n_entities, bitorder="little")
         sizes = np.count_nonzero(membership, axis=1)
         # members of each cluster each functionality touches, then each author changed
         count_type = np.min_scalar_type(self.n_entities)
@@ -78,45 +115,15 @@ class Scorer:
         shares = np.cumsum(touching / sizes[:, None], axis=1)[:, -1]
         cohesions = shares / np.count_nonzero(touching, axis=1)
         author_counts = np.count_nonzero(counts[:, self.n_functionalities :], axis=1)
-        functionalities = np.packbits(touching > 0, axis=1, bitorder="little")
         reached = _reduce_columns(np.logical_or, membership.view(bool), self._steps_to, bool)
-        targets = np.packbits(reached, axis=1, bitorder="little")
-        for mask, size, cohesion_term, author_count, touched_by, steps_to in zip(
-            unseen,
-            sizes.tolist(),
-            cohesions.tolist(),
-            author_counts.tolist(),
-            functionalities,
-            targets,
-        ):
-            memo[mask] = (
-                mask,
-                size,
-                cohesion_term,
-                author_count,
-                int.from_bytes(touched_by.tobytes(), "little"),
-                int.from_bytes(steps_to.tobytes(), "little"),
-            )
-
-    def splitting_cost(self, clusters: list[Cluster]) -> int:
-        """Rework cost of the functionalities split across clusters.
-
-        A functionality is distributed when its trace touches more than one
-        cluster.  Each of its distinct (entity, mode) accesses costs one per
-        other distributed functionality touching that entity in the opposite
-        mode.  The paper's complexity is this cost per functionality.
-        """
-        seen = distributed = 0
-        for terms in clusters:
-            functionalities = terms[4]
-            distributed |= seen & functionalities
-            seen |= functionalities
-        cost = self._costs.get(distributed)
-        if cost is None:
-            rows = np.array(members(distributed), dtype=np.intp)
-            cost = 2 * int(self._products[rows[:, None], rows].sum() - self._both[rows].sum())
-            self._costs[distributed] = cost
-        return cost
+        reach = np.zeros_like(packed)
+        reach[:, : -(-self.n_entities // 8)] = np.packbits(reached, axis=1, bitorder="little")
+        self.sizes = np.concatenate([self.sizes, sizes])
+        self.cohesions = np.concatenate([self.cohesions, cohesions])
+        self.author_counts = np.concatenate([self.author_counts, author_counts])
+        self.touching = np.concatenate([self.touching, touching > 0])
+        self.members = np.concatenate([self.members, packed.view(np.uint64).T], axis=1)
+        self.reach = np.concatenate([self.reach, reach.view(np.uint64).T], axis=1)
 
 
 def _by_column(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -144,6 +151,36 @@ def _reduce_columns(ufunc, membership: np.ndarray, table: tuple, dtype) -> np.nd
     return out
 
 
+def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord | str]:
+    """The record of each partition of a table of cluster rows, in one pass over arrays."""
+    try:
+        values = (
+            uniform_complexity(scorer, clusters),
+            cohesion(scorer, clusters),
+            coupling(scorer, clusters),
+            tsr(scorer, clusters),
+        )
+    except MetricsError as exc:  # a fault of the model, the same for every partition
+        return [str(exc)] * clusters.shape[1]
+    columns = [value.tolist() for value in values]
+    try:
+        combined = combined_score(*values).tolist()
+    except MetricsError:  # some partition is out of range: each one is checked on its own
+        records: list[MetricsRecord | str] = []
+        for numbers in zip(*columns):
+            try:
+                records.append(MetricsRecord(*numbers, combined_score(*numbers)))
+            except MetricsError as exc:
+                records.append(str(exc))
+        return records
+    return list(map(MetricsRecord, *columns, combined))
+
+
+def _cluster_counts(clusters: np.ndarray) -> np.ndarray:
+    """k of each partition of a table: its rows other than the padding row 0."""
+    return np.count_nonzero(clusters, axis=0)
+
+
 def max_complexity(model: AccessModel) -> float:
     """Splitting cost of the all-singletons decomposition, ignoring access modes.
 
@@ -159,65 +196,77 @@ def max_complexity(model: AccessModel) -> float:
     return int(accesses @ (touchers - 1)) / len(model.functionalities)
 
 
-def uniform_complexity(scorer: Scorer, clusters: list[Cluster]) -> float:
+def splitting_cost(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
+    """Rework cost of the functionalities split across clusters, per partition of the table.
+
+    A functionality is distributed when its trace touches more than one
+    cluster.  Each of its distinct (entity, mode) accesses costs one per
+    other distributed functionality touching that entity in the opposite
+    mode.  The paper's complexity is this cost per functionality.
+    """
+    distributed = (np.count_nonzero(scorer.touching[clusters], axis=0) >= 2).astype(float)
+    # float64 products of integers: exact, every partial sum being an integer below
+    # F * F * n, far below 2**53
+    paired = ((distributed @ scorer.products) * distributed).sum(axis=1)
+    return 2 * (paired - distributed @ scorer.both).astype(np.int64)
+
+
+def uniform_complexity(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     """Splitting cost per functionality over the all-singletons worst case (0 when both are 0)."""
     if scorer.ceiling == 0:
-        return 0.0
-    return scorer.splitting_cost(clusters) / scorer.n_functionalities / scorer.ceiling
+        return np.zeros(clusters.shape[1])
+    return splitting_cost(scorer, clusters) / scorer.n_functionalities / scorer.ceiling
 
 
-def cohesion(scorer: Scorer, clusters: list[Cluster]) -> float:
+def cohesion(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     """Mean share of a cluster its visiting functionalities actually touch."""
-    total = 0.0
-    for terms in clusters:
-        total += terms[2]
-    return total / len(clusters)
+    # the clusters' terms summed one by one in cluster order; padding adds 0.0
+    total = np.cumsum(scorer.cohesions[clusters], axis=0)[-1]
+    return total / _cluster_counts(clusters)
 
 
-def coupling(scorer: Scorer, clusters: list[Cluster]) -> float:
+def coupling(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     """Mean share of a cluster's entities exposed to each other cluster.
 
     An entity is exposed to a cluster when some trace accesses it directly after
     an entity of that cluster.
     """
-    n = len(clusters)
-    if n == 1:
-        return 0.0
-    sized = [(terms[0], terms[1]) for terms in clusters]
-    total = 0.0
-    for i, source in enumerate(clusters):
-        # entities of cluster j some trace reaches straight from cluster i
-        targets = source[5]
-        for j, (mask, size) in enumerate(sized):
-            if i != j:
-                total += (targets & mask).bit_count() / size
-    return total / (n * (n - 1))
+    width, count = clusters.shape
+    # shares[i, j, p]: the members of cluster j some trace reaches straight from cluster
+    # i, counted word by word (exact integers in float64), then over the size of j
+    shares = np.zeros((width, width, count))
+    for reach, members in zip(scorer.reach, scorer.members):
+        shares += np.bitwise_count(reach[clusters][:, None] & members[clusters])
+    shares /= scorer.sizes[clusters]
+    # summed one by one in (i, j) order, in place; the pairs i = j and the padding add 0.0
+    shares[np.arange(width), np.arange(width)] = 0.0
+    sums = shares.reshape(width * width, count)
+    total = np.cumsum(sums, axis=0, out=sums)[-1]
+    n = _cluster_counts(clusters)
+    return total / np.maximum(n * (n - 1), 1)  # a single cluster: 0.0 over 1
 
 
-def tsr(scorer: Scorer, clusters: list[Cluster]) -> float:
+def tsr(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     """Team size ratio: mean cluster author count over the total author count."""
     if not scorer.n_authors:
         raise MetricsError("history has no authors")
-    author_count_sum = 0
-    for terms in clusters:
-        author_count_sum += terms[3]
-    return (author_count_sum / len(clusters)) / scorer.n_authors
+    author_count_sums = scorer.author_counts[clusters].sum(axis=0)
+    return author_count_sums / _cluster_counts(clusters) / scorer.n_authors
 
 
-def combined_score(
-    uniform_complexity_value: float,
-    cohesion_value: float,
-    coupling_value: float,
-    tsr_value: float,
-) -> float:
-    """Single score to minimize; shifts the improving direction of cohesion."""
+def combined_score(uniform_complexity_value, cohesion_value, coupling_value, tsr_value):
+    """Single score to minimize; shifts the improving direction of cohesion.
+
+    Takes four floats, or four arrays of one value per partition; any value
+    outside [0, 1] raises MetricsError.
+    """
     for name, value in (
         ("uniform complexity", uniform_complexity_value),
         ("cohesion", cohesion_value),
         ("coupling", coupling_value),
         ("tsr", tsr_value),
     ):
-        if not 0.0 <= value <= 1.0:
+        if not np.all((0.0 <= value) & (value <= 1.0)):
             raise MetricsError(f"{name} out of range: {value!r}")
     return (uniform_complexity_value + coupling_value + tsr_value - cohesion_value + 1.0) / 4.0
 
@@ -232,16 +281,15 @@ class MetricsRecord:
 
 
 def evaluate(scorer: Scorer, partition: tuple[int, ...]) -> MetricsRecord:
-    """All five quality numbers of one partition, given as member masks over the model's entities."""
-    clusters = scorer.clusters(partition)
-    uniform = uniform_complexity(scorer, clusters)
-    cohesion_value = cohesion(scorer, clusters)
-    coupling_value = coupling(scorer, clusters)
-    tsr_value = tsr(scorer, clusters)
-    return MetricsRecord(
-        uniform,
-        cohesion_value,
-        coupling_value,
-        tsr_value,
-        combined_score(uniform, cohesion_value, coupling_value, tsr_value),
-    )
+    """All five quality numbers of one partition, given as member masks over the model's entities.
+
+    Reads the scorer's record of the partition, scoring it first when it has
+    none; a metric domain error raises MetricsError with the record's message.
+    """
+    record = scorer.records.get(partition)
+    if record is None:
+        scorer.memoize((partition,), 0)  # one partition is one chunk whatever the budget
+        record = scorer.records[partition]
+    if isinstance(record, str):
+        raise MetricsError(record)
+    return record

@@ -6,8 +6,9 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,6 +47,15 @@ CSV_COLUMNS = (
     "wAuthor",
     "group",
     *METRIC_COLUMNS,
+)
+# a MetricsRecord's values in METRIC_COLUMNS order, which is its fields' order
+_metric_values = attrgetter(*(field.name for field in fields(MetricsRecord)))
+# where a row's cells sit: the integer cells run from the cluster count to the last weight
+_CODEBASE_CELL = CSV_COLUMNS.index("codebase")
+_GROUP_CELL = CSV_COLUMNS.index("group")
+_INTEGER_CELLS = slice(CSV_COLUMNS.index("nClusters"), CSV_COLUMNS.index("wAuthor") + 1)
+_METRIC_CELLS = slice(
+    CSV_COLUMNS.index(METRIC_COLUMNS[0]), CSV_COLUMNS.index(METRIC_COLUMNS[-1]) + 1
 )
 
 # the weight grid steps: the divisors of 100
@@ -157,12 +167,13 @@ def _score_grid(
         stack_partitions = [
             cuts(dendrogram, counts) for dendrogram in _dendrograms(batch[: len(vectors)])
         ]
-        # the clusters this stack cuts that no earlier stack did are scored in one pass
+        # the partitions this stack cuts that no earlier stack did are scored in one
+        # array pass per chunk, and `evaluate` reads each one's record.  Chunks of an
+        # eighth of the budget ran the dense step-10 benchmark sweep (24 entities) as
+        # fast as chunks of all of it, at 53.5 against 56.9 MiB of peak RSS (2-core VM)
         scorer.memoize(
-            mask
-            for partitions in stack_partitions
-            for partition in partitions.values()
-            for mask in partition
+            (partition for partitions in stack_partitions for partition in partitions.values()),
+            _STACK_BYTES // 8,
         )
         for weights, partitions in zip(vectors, stack_partitions):
             group = classify_group(weights)
@@ -240,22 +251,45 @@ def run_sweep(
 
 def row_values(row: ResultRow, metric_format) -> list:
     """The row's values in CSV_COLUMNS order, with `metric_format` applied to its five metrics."""
-    m = row.metrics
     return [
         row.codebase,
         row.n_clusters,
         *row.weights.as_tuple(),
         row.group,
-        *map(metric_format, (m.uniform_complexity, m.cohesion, m.coupling, m.tsr, m.combined)),
+        *map(metric_format, _metric_values(row.metrics)),
     ]
 
 
-def write_results_csv(rows: list[ResultRow]) -> str:
+# a results row once its text cells are quoted; `%.6f` prints what "{:.6f}".format prints
+_ROW_FORMAT = ",".join(["%s", *["%d"] * 7, "%s", *["%.6f"] * len(METRIC_COLUMNS)]) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as csv.writer writes it within a row."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    # with a second cell: a row of one empty cell is written as `""`
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[: -len(",\n")]
+
+
+def write_results_csv(rows: list[ResultRow]) -> str:
+    """The rows as csv.writer writes their `row_values` with six decimals, under the header."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(CSV_COLUMNS)
+    texts = {text for row in rows for text in (row.codebase, row.group)}
+    cells = {text: _csv_cell(text) for text in texts}
+    write = buffer.write
     for row in rows:
-        writer.writerow(row_values(row, "{:.6f}".format))
+        write(
+            _ROW_FORMAT
+            % (
+                cells[row.codebase],
+                row.n_clusters,
+                *row.weights.as_tuple(),
+                cells[row.group],
+                *_metric_values(row.metrics),
+            )
+        )
     return buffer.getvalue()
 
 
@@ -275,16 +309,21 @@ def read_results_csv(text: str) -> list[ResultRow]:
             raise SweepError(f"bad results CSV row: {record}")
         # only the forms the writer emits: int() and float() also take `1_00`,
         # `+5`, surrounding spaces and non-ASCII digits
-        integers = record[1:8]
+        integers = record[_INTEGER_CELLS]
         if not all(v.isascii() and v.isdigit() for v in integers):
             raise SweepError(f"bad results CSV row {record}: integer cells must be ASCII digits")
-        if any("_" in v or v != v.strip() for v in record[9:14]):
+        metrics = record[_METRIC_CELLS]
+        if any("_" in v or v != v.strip() for v in metrics):
             raise SweepError(f"bad results CSV row {record}: malformed metric cell")
         try:
             n_clusters, *weights = map(int, integers)
-            values = [float(v) for v in record[9:14]]
+            values = [float(v) for v in metrics]
             row = ResultRow(
-                record[0], n_clusters, Weights(*weights), record[8], MetricsRecord(*values)
+                record[_CODEBASE_CELL],
+                n_clusters,
+                Weights(*weights),
+                record[_GROUP_CELL],
+                MetricsRecord(*values),
             )
         except ValueError as exc:
             raise SweepError(f"bad results CSV row {record}: {exc}") from exc

@@ -3,7 +3,8 @@
 Everything here shares no code with the package internals, and most of it
 works on plain dicts/lists with naive loops.  The exceptions are the package's
 former code, kept to referee its replacement bit for bit: `scan_upgma`, the
-former numpy clustering kernel, the former counting loop of the history
+former numpy clustering kernel, the former per-cluster and per-partition
+scoring (`cluster_terms`, `evaluate`), the former counting loop of the history
 (`history_counts`), and the former dict-walking history loader and history
 measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
 `author_matrix`).  Traces are dicts name -> [(entity, mode), ...]; commits are
@@ -371,6 +372,73 @@ def cluster_terms(model, authors, mask):
     # share of the cluster each touching functionality touches, in model order
     shares = [(touching[f] & mask).bit_count() / size for f in _members(functionalities)]
     return (mask, size, sum(shares) / len(shares), author_bits.bit_count(), functionalities, targets)
+
+
+def evaluate(model, authors, partition):
+    """The package's former per-partition scoring of member masks, kept as a referee.
+
+    The former `evaluate` with the metric functions it called inlined, in
+    their order and with their arithmetic, but for four edits: the scorer's
+    tables and the ceiling (`metrics.max_complexity`) are computed here on
+    each call, each cluster's terms come from `cluster_terms`, the splitting
+    cost is not memoized, and a metric domain error is returned as its
+    message instead of raised.
+    Returns the five numbers (uniform complexity, cohesion, coupling, tsr,
+    combined), or that message.
+    """
+    clusters = [cluster_terms(model, authors, mask) for mask in partition]
+    n_functionalities = len(model.functionalities)
+    ceiling = 0.0
+    if n_functionalities:
+        distributed = model.touch.sum(axis=1) >= 2
+        touchers = model.touch[distributed].sum(axis=0)
+        accesses = (model.read + model.write)[distributed].sum(axis=0)
+        ceiling = int(accesses @ (touchers - 1)) / n_functionalities
+    if ceiling == 0:
+        uniform = 0.0
+    else:
+        seen = distributed = 0
+        for terms in clusters:
+            functionalities = terms[4]
+            distributed |= seen & functionalities
+            seen |= functionalities
+        rows = np.array(_members(distributed), dtype=np.intp)
+        products = model.read @ model.write.T
+        both = (model.read & model.write).sum(axis=1)
+        cost = 2 * int(products[rows[:, None], rows].sum() - both[rows].sum())
+        uniform = cost / n_functionalities / ceiling
+    total = 0.0
+    for terms in clusters:
+        total += terms[2]
+    cohesion = total / len(clusters)
+    n = len(clusters)
+    if n == 1:
+        coupling = 0.0
+    else:
+        sized = [(terms[0], terms[1]) for terms in clusters]
+        total = 0.0
+        for i, source in enumerate(clusters):
+            targets = source[5]
+            for j, (mask, size) in enumerate(sized):
+                if i != j:
+                    total += (targets & mask).bit_count() / size
+        coupling = total / (n * (n - 1))
+    n_authors = authors.shape[1]
+    if not n_authors:
+        return "history has no authors"
+    author_count_sum = 0
+    for terms in clusters:
+        author_count_sum += terms[3]
+    tsr = (author_count_sum / len(clusters)) / n_authors
+    for name, value in (
+        ("uniform complexity", uniform),
+        ("cohesion", cohesion),
+        ("coupling", coupling),
+        ("tsr", tsr),
+    ):
+        if not 0.0 <= value <= 1.0:
+            return f"{name} out of range: {value!r}"
+    return (uniform, cohesion, coupling, tsr, (uniform + coupling + tsr - cohesion + 1.0) / 4.0)
 
 
 def _mask(indices):

@@ -28,6 +28,7 @@ from monosplit import (
     welch_test,
 )
 from monosplit.cli import main
+from monosplit.metrics import splitting_cost
 from monosplit.similarity import MEASURE_NAMES, measure_matrices
 
 import oracles
@@ -133,7 +134,8 @@ def test_acceptance_3_metric_properties(capsys):
             if not all(0.0 <= v <= 1.0 for v in values):
                 failures.append(f"seed {seed} k={k}: metric out of range {values}")
             if k == 1 and (
-                scorer.splitting_cost(scorer.clusters(partition)) != 0 or record.coupling != 0.0
+                splitting_cost(scorer, scorer.table([partition])).tolist() != [0]
+                or record.coupling != 0.0
             ):
                 failures.append(f"seed {seed}: single cluster not free of splitting cost")
             if k == n and record.cohesion != 1.0:
@@ -184,20 +186,25 @@ def test_acceptance_4_oracle_equivalence(capsys):
         for k in range(1, len(entities) + 1):
             clusters = sorted(random_partition(rng, entities, k))
             scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
-            scored = scorer.clusters(partition_masks(entities, clusters))
+            table = scorer.table([partition_masks(entities, clusters)])
             file_authors = history_maps(history)[2]
+            (cost,) = splitting_cost(scorer, table).tolist()
+            (uniform,), (cohesion_value,), (coupling_value,), (tsr_value,) = (
+                metric(scorer, table).tolist()
+                for metric in (uniform_complexity, cohesion, coupling, tsr)
+            )
             checks = (
-                ("complexity", scorer.splitting_cost(scored) / len(model.functionalities),
+                ("complexity", cost / len(model.functionalities),
                  oracles.complexity_measure(clusters, traces)),
                 ("max_complexity", max_complexity(model),
                  oracles.max_complexity_measure(traces)),
-                ("uniform", uniform_complexity(scorer, scored),
+                ("uniform", uniform,
                  oracles.uniform_complexity_measure(clusters, traces)),
-                ("cohesion", cohesion(scorer, scored),
+                ("cohesion", cohesion_value,
                  oracles.cohesion_measure(clusters, traces)),
-                ("coupling", coupling(scorer, scored),
+                ("coupling", coupling_value,
                  oracles.coupling_measure(clusters, traces)),
-                ("tsr", tsr(scorer, scored),
+                ("tsr", tsr_value,
                  oracles.tsr_measure(clusters, files, file_authors)),
             )
             for label, got, want in checks:

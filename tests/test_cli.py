@@ -18,6 +18,7 @@ from monosplit import (
     read_git_log,
     write_results_csv,
 )
+from conftest import DATA
 from monosplit.cli import main
 from monosplit.sweep import CSV_COLUMNS
 
@@ -113,6 +114,29 @@ def test_mine_missing_source_is_usage_error(tmp_path, capsys):
     code = main(["mine", str(tmp_path / "nowhere"), "--out", str(tmp_path / "h.json")])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--window-secs", "-10", "argument --window-secs: expected a non-negative integer"),
+        ("--max-files", "0", "argument --max-files: expected a positive integer"),
+    ],
+    ids=["window-secs", "max-files"],
+)
+def test_bad_mine_flag_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "history.json"
+    with pytest.raises(SystemExit) as info:
+        main(["mine", str(DATA / "bundling.log"), flag, value, "--out", str(out)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mine_takes_a_zero_bundling_window(tmp_path):
+    out = tmp_path / "history.json"
+    assert main(["mine", str(DATA / "bundling.log"), "--window-secs", "0", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_mine_garbage_log_is_pipeline_error(tmp_path, capsys):

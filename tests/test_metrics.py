@@ -2,8 +2,12 @@
 
 import json
 import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosplit import (
     DevelopmentHistory,
@@ -19,6 +23,7 @@ from monosplit import (
     uniform_complexity,
 )
 from monosplit import metrics
+from monosplit.metrics import splitting_cost
 
 import oracles
 from synth import (
@@ -41,19 +46,24 @@ NO_HISTORY = empty_history()
 
 
 def _scored(model, clusters, history=NO_HISTORY, files={}):
-    """A fresh scorer and the per-cluster terms of the clusters of entity names."""
+    """A fresh scorer and the table of one partition, given as clusters of entity names."""
     scorer = Scorer(model, history.entity_authors([files.get(e) for e in model.entities]))
-    return scorer, scorer.clusters(partition_masks(model.entities, clusters))
+    return scorer, scorer.table([partition_masks(model.entities, clusters)])
+
+
+def _single(metric, scored):
+    """The value a metric function gives the one partition of a table."""
+    (value,) = metric(*scored).tolist()
+    return value
 
 
 def _complexity(model, clusters):
     """Splitting cost per functionality: the paper's complexity."""
-    scorer, scored = _scored(model, clusters)
-    return scorer.splitting_cost(scored) / len(model.functionalities)
+    return _single(splitting_cost, _scored(model, clusters)) / len(model.functionalities)
 
 
 def _metric(metric, model, clusters):
-    return metric(*_scored(model, clusters))
+    return _single(metric, _scored(model, clusters))
 
 
 CROSS_MODEL = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["A", "W"]]})
@@ -170,7 +180,7 @@ def _history(file_authors):
 def _tsr(clusters, history, entity_files):
     """TSR of the clusters over a model whose one trace reads each of their members."""
     model = _model({"f": [[entity, "R"] for cluster in clusters for entity in cluster]})
-    return tsr(*_scored(model, clusters, history, entity_files))
+    return _single(tsr, _scored(model, clusters, history, entity_files))
 
 
 def test_tsr_mean_cluster_authors_over_total():
@@ -224,14 +234,31 @@ def test_tsr_rejects_history_without_authors():
 # ------------------------------------------------------------ batched terms
 
 
+def _terms(scorer, mask):
+    """A cluster's row of the scorer's tables, in the form `oracles.cluster_terms` returns."""
+    (row,) = scorer.table([(mask,)])[:, 0].tolist()
+
+    def bits(words):
+        return int.from_bytes(words[:, row].tobytes(), "little")  # the mask's own bytes
+
+    return (
+        bits(scorer.members),
+        int(scorer.sizes[row]),
+        float(scorer.cohesions[row]),
+        int(scorer.author_counts[row]),
+        sum(1 << f for f in np.flatnonzero(scorer.touching[row]).tolist()),
+        bits(scorer.reach),
+    )
+
+
 @pytest.mark.parametrize("n", [13, 64, 65, 160, 300])
 def test_batched_terms_equal_the_former_per_member_loop(n):
     """One pass over many masks gives each the terms of the per-member loop, bit for bit.
 
-    The sizes put the last entity on either side of a byte of the member,
-    target and functionality bits; nine authors take two bytes.  One
-    functionality touches every entity but Z, so at 300 entities a count
-    outgrows a byte.
+    The sizes put the last entity on either side of a byte of the
+    functionality bits and of a 64-bit word of the member and reach bits;
+    nine authors take two bytes.  One functionality touches every entity but
+    Z, so at 300 entities a count outgrows a byte.
     """
     rng = random.Random(f"batched/{n}")
     traces = random_traces(rng, n - 1, 11, max_extra=12)
@@ -247,9 +274,9 @@ def test_batched_terms_equal_the_former_per_member_loop(n):
         masks += partition_masks(model.entities, random_partition(rng, model.entities, k))
     masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(20)]
     scorer = Scorer(model, authors)
-    scorer.memoize(masks)
+    scorer.table([(mask,) for mask in masks])  # every mask's terms in one pass
     for mask in masks:
-        assert scorer.clusters((mask,)) == [oracles.cluster_terms(model, authors, mask)]
+        assert _terms(scorer, mask) == oracles.cluster_terms(model, authors, mask)
 
 
 def test_batched_terms_without_authors_keep_the_tsr_error():
@@ -258,7 +285,10 @@ def test_batched_terms_without_authors_keep_the_tsr_error():
     authors = NO_HISTORY.entity_authors([None] * len(model.entities))
     scorer = Scorer(model, authors)
     partition = partition_masks(model.entities, random_partition(rng, model.entities, 3))
-    assert scorer.clusters(partition) == [oracles.cluster_terms(model, authors, m) for m in partition]
+    scorer.table([partition])
+    assert [_terms(scorer, m) for m in partition] == [
+        oracles.cluster_terms(model, authors, m) for m in partition
+    ]
     with pytest.raises(MetricsError, match=r"^history has no authors$"):
         evaluate(scorer, partition)
 
@@ -298,38 +328,72 @@ def test_evaluate_bundles_the_five_numbers():
     clusters = random_partition(rng, model.entities, 2)
     record = _evaluate(model, clusters, history, files)
     scored = _scored(model, clusters, history, files)
-    assert record.uniform_complexity == uniform_complexity(*scored)
-    assert record.cohesion == cohesion(*scored)
-    assert record.coupling == coupling(*scored)
-    assert record.tsr == tsr(*scored)
+    assert record.uniform_complexity == _single(uniform_complexity, scored)
+    assert record.cohesion == _single(cohesion, scored)
+    assert record.coupling == _single(coupling, scored)
+    assert record.tsr == _single(tsr, scored)
     identity = 4 * record.combined - record.uniform_complexity
     identity -= record.coupling + record.tsr - record.cohesion
     assert identity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_scores_through_the_module_level_metrics(monkeypatch):
-    # the names benchmark/tracing.py wraps must be the ones evaluate calls
+    # the names benchmark/tracing.py wraps must be the ones the scoring pass calls:
+    # once each per pass, with the table of all its partitions
     rng = random.Random(5)
     model = to_model(random_traces(rng, 5))
     commits, files = random_commits(rng, model.entities)
     history = commits_to_history(commits)
     scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
-    partition = partition_masks(model.entities, random_partition(rng, model.entities, 2))
+    partitions = [
+        partition_masks(model.entities, random_partition(rng, model.entities, k)) for k in (1, 2, 3)
+    ]
     stand_ins = {"uniform_complexity": 0.25, "cohesion": 0.5, "coupling": 0.125, "tsr": 0.75}
     calls = []
     for name, value in stand_ins.items():
         def stand_in(got_scorer, clusters, name=name, value=value):
             calls.append((name, got_scorer, clusters))
-            return value
+            return np.full(clusters.shape[1], value)
 
         monkeypatch.setattr(metrics, name, stand_in)
-    record = evaluate(scorer, partition)
-    clusters = scorer.clusters(partition)
-    assert calls == [(name, scorer, clusters) for name in stand_ins]
-    assert (record.uniform_complexity, record.cohesion, record.coupling, record.tsr) == tuple(
-        stand_ins.values()
-    )
-    assert record.combined == combined_score(*stand_ins.values())
+    scorer.memoize(partitions, 1 << 20)
+    table = scorer.table(partitions)
+    assert [(name, got_scorer) for name, got_scorer, _ in calls] == [
+        (name, scorer) for name in stand_ins
+    ]
+    assert all(np.array_equal(clusters, table) for _, _, clusters in calls)
+    for partition in partitions:
+        record = evaluate(scorer, partition)
+        assert (record.uniform_complexity, record.cohesion, record.coupling, record.tsr) == tuple(
+            stand_ins.values()
+        )
+        assert record.combined == combined_score(*stand_ins.values())
+    assert len(calls) == len(stand_ins)  # evaluate read the records: no second pass
+
+
+def test_a_partition_out_of_range_keeps_its_message_and_the_others_score(monkeypatch):
+    rng = random.Random(7)
+    model = to_model(random_traces(rng, 6))
+    commits, files = random_commits(rng, model.entities)
+    authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
+    partitions = [
+        partition_masks(model.entities, random_partition(rng, model.entities, k)) for k in (1, 2, 3)
+    ]
+    real_coupling = metrics.coupling
+
+    def skewed_coupling(scorer, clusters):
+        values = real_coupling(scorer, clusters)
+        values[1] = 1.5  # the second partition of the pass
+        return values
+
+    monkeypatch.setattr(metrics, "coupling", skewed_coupling)
+    scorer = Scorer(model, authors)
+    scorer.memoize(partitions, 1 << 20)
+    assert scorer.records[partitions[1]] == "coupling out of range: 1.5"
+    for partition in (partitions[0], partitions[2]):
+        assert astuple(scorer.records[partition]) == oracles.evaluate(model, authors, partition)
+    with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5$"):
+        evaluate(scorer, partitions[1])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -370,8 +434,71 @@ def test_metrics_match_naive_oracles(seed):
         scored = _scored(model, clusters, history, files)
         assert _complexity(model, clusters) == oracles.complexity_measure(clusters, traces)
         assert max_complexity(model) == oracles.max_complexity_measure(traces)
-        assert uniform_complexity(*scored) == oracles.uniform_complexity_measure(clusters, traces)
-        assert cohesion(*scored) == oracles.cohesion_measure(clusters, traces)
-        assert coupling(*scored) == oracles.coupling_measure(clusters, traces)
+        assert _single(uniform_complexity, scored) == oracles.uniform_complexity_measure(
+            clusters, traces
+        )
+        assert _single(cohesion, scored) == oracles.cohesion_measure(clusters, traces)
+        assert _single(coupling, scored) == oracles.coupling_measure(clusters, traces)
         file_authors = history_maps(history)[2]
-        assert tsr(*scored) == oracles.tsr_measure(clusters, files, file_authors)
+        assert _single(tsr, scored) == oracles.tsr_measure(clusters, files, file_authors)
+
+
+# ------------------------------------------------------------------- referee
+
+
+@st.composite
+def scoring_cases(draw):
+    """A random model, its entity x author incidence and partitions of every shape.
+
+    The partitions are random ones of 1 to 10 clusters in random order, the
+    singletons (k = n) and the whole set.  Some histories have no authors,
+    and some models touch one entity per functionality, so that their
+    ceiling is 0.  Up to 70 entities take two 64-bit words of member bits.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["random", "no authors", "zero ceiling"]))
+    if kind == "zero ceiling":
+        traces = {
+            f"f{i:02d}": [(f"E{i:02d}", rng.choice("RW")) for _ in range(rng.randint(1, 3))]
+            for i in range(n)
+        }
+    else:
+        traces = random_traces(rng, n, rng.randint(1, 12), max_extra=rng.randint(0, 12))
+    model = to_model(traces)
+    entities = model.entities
+    if kind == "no authors":
+        authors = NO_HISTORY.entity_authors([None] * n)
+    else:
+        commits, files = random_commits(rng, entities, n_authors=rng.randint(1, 9))
+        authors = commits_to_history(commits).entity_authors([files[e] for e in entities])
+    partitions = [
+        partition_masks(entities, random_partition(rng, entities, rng.randint(1, min(10, n))))
+        for _ in range(6)
+    ]
+    partitions += [
+        partition_masks(entities, [[e] for e in entities]),
+        partition_masks(entities, [entities]),
+    ]
+    return kind, model, authors, partitions
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases())
+def test_one_pass_gives_the_former_scoring_bit_for_bit(case):
+    """All partitions in one pass, or one pass each, score as the former per-partition code did."""
+    kind, model, authors, partitions = case
+    want = [oracles.evaluate(model, authors, partition) for partition in partitions]
+    together = Scorer(model, authors)
+    together.memoize(partitions, 1 << 30)
+    one_by_one = Scorer(model, authors)
+    for partition in partitions:
+        one_by_one.memoize([partition], 0)
+    for scorer in (together, one_by_one):
+        records = [scorer.records[partition] for partition in partitions]
+        assert [r if isinstance(r, str) else astuple(r) for r in records] == want
+    if kind == "no authors":
+        assert set(want) == {"history has no authors"}
+    elif kind == "zero ceiling":
+        assert max_complexity(model) == 0.0
+        assert {values[0] for values in want} == {0.0}

@@ -1,5 +1,7 @@
 """Weight-grid enumeration, group classification, sweep execution and CSV round trips."""
 
+import csv
+import io
 import itertools
 import logging
 import random
@@ -26,6 +28,7 @@ from monosplit import (
     write_results_csv,
 )
 from monosplit.clustering import members
+from monosplit.sweep import row_values
 from monosplit.sweep import (
     AUTHORSHIP_ONLY,
     COMBINED,
@@ -402,6 +405,65 @@ def test_csv_header_and_row_layout():
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "demo,3,10,20,30,40,0,0,SEQUENCES_ONLY,0.100000,0.200000,0.250000,0.500000,0.387500"
     assert text.endswith("\n")
+
+
+def _csv_writer_text(rows):
+    """The results CSV as a plain csv.writer renders the header and each row's `row_values`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(row_values(row, "{:.6f}".format) for row in rows)
+    return buffer.getvalue()
+
+
+# names csv.writer quotes (a comma, a quote, a newline), or leaves bare with a leading space;
+# an empty name, which it quotes only when the name is alone in its row
+QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", " leading", "plain", ""]
+
+
+def test_csv_writer_writes_the_bytes_of_csv_writer(small_sweep):
+    _, _, _, rows, _ = small_sweep
+    edges = [0.0, -0.0, 1.0, 1 / 3, 2 / 3, 0.0000005, 0.0000015, 0.9999995, 1e-300]
+    crafted = [
+        ResultRow(
+            name,
+            3 + i,
+            Weights(*vector),
+            group,
+            MetricsRecord(*(edges[(i + j) % len(edges)] for j in range(5))),
+        )
+        for i, (name, vector, group) in enumerate(
+            zip(
+                QUOTED_NAMES * 2,
+                [(100, 0, 0, 0, 0, 0), (0, 0, 0, 0, 50, 50), (10, 20, 30, 40, 0, 0)] * 4,
+                [SEQUENCES_ONLY, HISTORY, COMBINED, FILES_ONLY, AUTHORSHIP_ONLY] * 2,
+            )
+        )
+    ]
+    for case in (rows, crafted, rows[:3] + crafted + rows[3:6]):
+        assert write_results_csv(case) == _csv_writer_text(case)
+
+
+def test_csv_writer_round_trips_names_that_need_quoting():
+    rows = [
+        ResultRow(
+            name,
+            n,
+            Weights(0, 0, 0, 0, 50, 50),
+            HISTORY,
+            MetricsRecord(0.015625, 1.0, 0.0, 0.25, 0.3125),
+        )
+        for name in QUOTED_NAMES
+        for n in (3, 4)
+    ]
+    text = write_results_csv(rows)
+    assert text == _csv_writer_text(rows)
+    assert read_results_csv(text) == rows
+
+
+def test_csv_writer_writes_the_header_alone_for_no_rows():
+    assert write_results_csv([]) == ",".join(CSV_COLUMNS) + "\n" == _csv_writer_text([])
+    assert read_results_csv(write_results_csv([])) == []
 
 
 def test_csv_round_trip_exact_for_six_decimal_values():
