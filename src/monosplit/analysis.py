@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricsRecord
 from .sweep import GROUPS, METRIC_COLUMNS, ResultRow
 
-_METRIC_ATTRIBUTES = dict(zip(METRIC_COLUMNS, (f.name for f in fields(MetricsRecord))))
+# a metric's place in a MetricsRecord, whose fields are in METRIC_COLUMNS order
+_METRIC_INDEX = {metric: i for i, metric in enumerate(METRIC_COLUMNS)}
 HIGHER_IS_BETTER = {"cohesion"}
 
 SMALL = "SMALL"
@@ -24,10 +24,9 @@ class StatsError(ValueError):
 
 def metric_value(row: ResultRow, metric: str) -> float:
     try:
-        attr = _METRIC_ATTRIBUTES[metric]
+        return row.metrics[_METRIC_INDEX[metric]]
     except KeyError:
         raise StatsError(f"unknown metric: {metric!r}") from None
-    return getattr(row.metrics, attr)
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--weights", required=True,
                            help="six comma-separated weights summing to 100: "
                            "access,read,write,sequence,commit,author")
-    decompose.add_argument("--clusters", type=int, required=True, help="number of clusters")
+    decompose.add_argument("--clusters", type=_positive_int, required=True,
+                           help="number of clusters")
     decompose.add_argument("--codebase", default="monolith", help="codebase id for the output")
     decompose.add_argument("--ext", default=".java", help="entity file extension (default .java)")
     decompose.add_argument("--matrix-out", help="optional similarity matrix CSV dump")

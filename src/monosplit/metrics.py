@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ class Scorer:
     Bit i of a member mask stands for entity i of the model, in sorted order.
     `memoize` scores the partitions it has not seen yet in one array pass per
     chunk, and keeps each one's record: its `MetricsRecord`, or the message
-    of its metric domain error.  The terms that depend on one cluster alone
+    of tsr's domain error.  The terms that depend on one cluster alone
     are computed once per distinct mask and kept as a row of the cluster
     tables; a chunk reaches the metrics as a table of those rows.  Sums run
     in cluster order, and coupling's in (i, j) order, so a partition's record
@@ -152,7 +152,11 @@ def _reduce_columns(ufunc, membership: np.ndarray, table: tuple, dtype) -> np.nd
 
 
 def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord | str]:
-    """The record of each partition of a table of cluster rows, in one pass over arrays."""
+    """The record of each partition of a table of cluster rows, in one pass over arrays.
+
+    Every metric lies in [0, 1] by construction, so one outside it is a fault
+    of this code: `combined_score`'s MetricsError fails the pass.
+    """
     try:
         values = (
             uniform_complexity(scorer, clusters),
@@ -160,20 +164,10 @@ def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord | str]:
             coupling(scorer, clusters),
             tsr(scorer, clusters),
         )
-    except MetricsError as exc:  # a fault of the model, the same for every partition
+    except MetricsError as exc:  # the history has no authors: the same for every partition
         return [str(exc)] * clusters.shape[1]
-    columns = [value.tolist() for value in values]
-    try:
-        combined = combined_score(*values).tolist()
-    except MetricsError:  # some partition is out of range: each one is checked on its own
-        records: list[MetricsRecord | str] = []
-        for numbers in zip(*columns):
-            try:
-                records.append(MetricsRecord(*numbers, combined_score(*numbers)))
-            except MetricsError as exc:
-                records.append(str(exc))
-        return records
-    return list(map(MetricsRecord, *columns, combined))
+    combined = combined_score(*values)
+    return list(map(MetricsRecord, *(value.tolist() for value in values), combined.tolist()))
 
 
 def _cluster_counts(clusters: np.ndarray) -> np.ndarray:
@@ -271,8 +265,9 @@ def combined_score(uniform_complexity_value, cohesion_value, coupling_value, tsr
     return (uniform_complexity_value + coupling_value + tsr_value - cohesion_value + 1.0) / 4.0
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
+    """The five quality numbers of a partition, in the order of the results CSV's metric columns."""
+
     uniform_complexity: float
     cohesion: float
     coupling: float
@@ -284,7 +279,8 @@ def evaluate(scorer: Scorer, partition: tuple[int, ...]) -> MetricsRecord:
     """All five quality numbers of one partition, given as member masks over the model's entities.
 
     Reads the scorer's record of the partition, scoring it first when it has
-    none; a metric domain error raises MetricsError with the record's message.
+    none.  A history without authors raises MetricsError with the record's
+    message; so does the scoring pass itself for a metric out of range.
     """
     record = scorer.records.get(partition)
     if record is None:

@@ -6,9 +6,8 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .clustering import (  # `cut` stays importable here: benchmark/tracing.py w
 )
 from .history import DevelopmentHistory
 from .metrics import MetricsError, MetricsRecord, Scorer, evaluate
-from .similarity import Weights, blend, measure_matrices
+from .similarity import MEASURE_NAMES, Weights, blend, measure_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +47,6 @@ CSV_COLUMNS = (
     "group",
     *METRIC_COLUMNS,
 )
-# a MetricsRecord's values in METRIC_COLUMNS order, which is its fields' order
-_metric_values = attrgetter(*(field.name for field in fields(MetricsRecord)))
 # where a row's cells sit: the integer cells run from the cluster count to the last weight
 _CODEBASE_CELL = CSV_COLUMNS.index("codebase")
 _GROUP_CELL = CSV_COLUMNS.index("group")
@@ -70,24 +67,17 @@ def enumerate_weights(step: int = 10) -> list[Weights]:
     """All weight vectors on the step grid summing to 100, in ascending lexicographic order."""
     if step not in STEPS:
         raise SweepError(f"step must be a positive divisor of 100, got {step}")
-    out = []
-    grid = range(0, 101, step)
-    for access in grid:
-        for read in grid:
-            if access + read > 100:
-                break
-            for write in grid:
-                if access + read + write > 100:
-                    break
-                for sequence in grid:
-                    if access + read + write + sequence > 100:
-                        break
-                    for commit in grid:
-                        rest = 100 - access - read - write - sequence - commit
-                        if rest < 0:
-                            break
-                        out.append(Weights(access, read, write, sequence, commit, rest))
-    return out
+    return [Weights(*parts) for parts in _compositions(100, len(MEASURE_NAMES), step)]
+
+
+def _compositions(total: int, parts: int, step: int):
+    """Tuples of `parts` multiples of `step` summing to `total`, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(0, total + 1, step):
+        for rest in _compositions(total - first, parts - 1, step):
+            yield (first, *rest)
 
 
 def classify_group(weights: Weights) -> str:
@@ -152,7 +142,7 @@ def _score_grid(
     rows: list[ResultRow] = []
     failures: list[SweepFailure] = []
     scorer = Scorer(model, authors)
-    # each distinct partition is scored once; a domain error is kept as its message
+    # each distinct partition is scored once; a history without authors is kept as its message
     scored: dict[tuple[int, ...], MetricsRecord | str] = {}
     capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))
     batch = np.empty((capacity, *stack[0].shape))
@@ -211,7 +201,8 @@ def run_sweep(
 ) -> tuple[list[ResultRow], list[SweepFailure]]:
     """Score every weight vector at every cluster count for one codebase.
 
-    Rows that fail on a metric's domain error are reported, not raised.  Rows
+    Rows that fail on a history without authors, tsr's domain error, are
+    reported, not raised; a metric out of range raises MetricsError.  Rows
     and failures come out in (weight vector, cluster count) order, whatever
     the parallelism degree, so output is reproducible.
     """
@@ -234,7 +225,7 @@ def run_sweep(
             for i in range(0, len(weight_vectors), chunk_size)
         ]
         rows, failures = [], []
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part_rows, part_failures in pool.map(score, chunks):
                 rows.extend(part_rows)
                 failures.extend(part_failures)
@@ -256,7 +247,7 @@ def row_values(row: ResultRow, metric_format) -> list:
         row.n_clusters,
         *row.weights.as_tuple(),
         row.group,
-        *map(metric_format, _metric_values(row.metrics)),
+        *map(metric_format, row.metrics),
     ]
 
 
@@ -287,7 +278,7 @@ def write_results_csv(rows: list[ResultRow]) -> str:
                 row.n_clusters,
                 *row.weights.as_tuple(),
                 cells[row.group],
-                *_metric_values(row.metrics),
+                *row.metrics,
             )
         )
     return buffer.getvalue()

@@ -209,6 +209,25 @@ def test_decompose_impossible_cut_is_pipeline_error(fixture_repo, tmp_path, acce
     assert "cannot cut" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clusters", ["0", "-2"])
+def test_decompose_bad_cluster_count_is_usage_error(tmp_path, accesses_path, capsys, clusters):
+    out = tmp_path / "d.json"
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "decompose",
+                "--history", str(tmp_path / "never-read.json"),
+                "--accesses", str(accesses_path),
+                "--weights", "100,0,0,0,0,0",
+                "--clusters", clusters,
+                "--out", str(out),
+            ]
+        )
+    assert info.value.code == 2
+    assert "argument --clusters: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_missing_history_file_is_usage_error(tmp_path, accesses_path):
     code = main(
         [

@@ -1,8 +1,8 @@
 """Decomposition quality metric tests against hand-worked cases and naive oracles."""
 
 import json
+import math
 import random
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from monosplit import (
     evaluate,
     load_access_model,
     max_complexity,
+    run_sweep,
     tsr,
     uniform_complexity,
 )
@@ -302,11 +303,12 @@ def test_combined_score_extremes_and_midpoint():
     assert combined_score(0.5, 0.75, 0.25, 0.5) == pytest.approx(0.375)
 
 
+@pytest.mark.parametrize("form", [float, lambda value: np.array([value])], ids=["float", "array"])
 @pytest.mark.parametrize("position", range(4))
-@pytest.mark.parametrize("bad", [-0.1, 1.1])
-def test_combined_score_rejects_out_of_range(position, bad):
-    values = [0.5, 0.5, 0.5, 0.5]
-    values[position] = bad
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+def test_combined_score_rejects_out_of_range(position, bad, form):
+    values = [form(0.5)] * 4
+    values[position] = form(bad)
     with pytest.raises(MetricsError, match="out of range"):
         combined_score(*values)
 
@@ -371,11 +373,14 @@ def test_evaluate_scores_through_the_module_level_metrics(monkeypatch):
     assert len(calls) == len(stand_ins)  # evaluate read the records: no second pass
 
 
-def test_a_partition_out_of_range_keeps_its_message_and_the_others_score(monkeypatch):
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_metric_out_of_range_fails_the_pass(monkeypatch, parallelism):
+    """Every metric lies in [0, 1] by construction: one outside it is a fault, not a dropped row."""
     rng = random.Random(7)
     model = to_model(random_traces(rng, 6))
     commits, files = random_commits(rng, model.entities)
-    authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
+    history = commits_to_history(commits)
+    authors = history.entity_authors([files[e] for e in model.entities])
     partitions = [
         partition_masks(model.entities, random_partition(rng, model.entities, k)) for k in (1, 2, 3)
     ]
@@ -383,17 +388,18 @@ def test_a_partition_out_of_range_keeps_its_message_and_the_others_score(monkeyp
 
     def skewed_coupling(scorer, clusters):
         values = real_coupling(scorer, clusters)
-        values[1] = 1.5  # the second partition of the pass
+        values[-1] = 1.5  # the last partition of each pass
         return values
 
     monkeypatch.setattr(metrics, "coupling", skewed_coupling)
     scorer = Scorer(model, authors)
-    scorer.memoize(partitions, 1 << 20)
-    assert scorer.records[partitions[1]] == "coupling out of range: 1.5"
-    for partition in (partitions[0], partitions[2]):
-        assert astuple(scorer.records[partition]) == oracles.evaluate(model, authors, partition)
-    with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5$"):
-        evaluate(scorer, partitions[1])
+    with pytest.raises(MetricsError, match=r"^coupling out of range: "):
+        scorer.memoize(partitions, 1 << 20)
+    assert scorer.records == {}
+    with pytest.raises(MetricsError, match=r"^coupling out of range: array\(\[1\.5\]\)$"):
+        evaluate(Scorer(model, authors), partitions[0])
+    with pytest.raises(MetricsError, match=r"^coupling out of range: "):
+        run_sweep(model, history, files, "demo", step=50, parallelism=parallelism)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -496,7 +502,7 @@ def test_one_pass_gives_the_former_scoring_bit_for_bit(case):
         one_by_one.memoize([partition], 0)
     for scorer in (together, one_by_one):
         records = [scorer.records[partition] for partition in partitions]
-        assert [r if isinstance(r, str) else astuple(r) for r in records] == want
+        assert [r if isinstance(r, str) else tuple(r) for r in records] == want
     if kind == "no authors":
         assert set(want) == {"history has no authors"}
     elif kind == "zero ceiling":

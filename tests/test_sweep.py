@@ -296,6 +296,27 @@ def test_sweep_csv_does_not_depend_on_the_stack_size(monkeypatch, wide_sweep_csv
     assert len(calls) == single
 
 
+@pytest.mark.parametrize("parallelism, chunks", [(4, 3), (8, 6)])
+def test_the_pool_starts_one_worker_per_chunk(monkeypatch, small_sweep, parallelism, chunks):
+    """Six step-100 vectors make fewer chunks than workers asked for: only those start."""
+    import concurrent.futures
+
+    model, history, files, _, _ = small_sweep
+    serial_rows, _ = run_sweep(model, history, files, "demo", step=100)
+    asked = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):  # starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    rows, failures = run_sweep(model, history, files, "demo", step=100, parallelism=parallelism)
+    assert asked == [chunks]
+    assert failures == []
+    assert rows == serial_rows
+
+
 def test_sweep_rejects_bad_parallelism(small_sweep):
     model, history, files, _, _ = small_sweep
     with pytest.raises(SweepError, match="parallelism"):
