@@ -49,7 +49,6 @@ from .sweep import (
     GROUPS,
     ResultRow,
     SweepError,
-    SweepFailure,
     classify_group,
     cluster_counts,
     enumerate_weights,

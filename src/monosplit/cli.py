@@ -104,7 +104,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_sweep(args) -> int:
     history, model, entity_files = _load_inputs(args)
-    rows, failures = run_sweep(
+    rows, dropped = run_sweep(
         model,
         history,
         entity_files,
@@ -113,8 +113,8 @@ def _cmd_sweep(args) -> int:
         parallelism=args.parallelism,
     )
     _write_text(args.out, write_results_csv(rows))
-    if failures and not args.quiet:
-        print(f"{len(failures)} rows failed and were dropped", file=sys.stderr)
+    if dropped and not args.quiet:
+        print(f"{dropped} rows failed and were dropped", file=sys.stderr)
     return 0
 
 

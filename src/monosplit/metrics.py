@@ -18,12 +18,11 @@ class Scorer:
 
     Bit i of a member mask stands for entity i of the model, in sorted order.
     `memoize` scores the partitions it has not seen yet in one array pass per
-    chunk, and keeps each one's record: its `MetricsRecord`, or the message
-    of tsr's domain error.  The terms that depend on one cluster alone
-    are computed once per distinct mask and kept as a row of the cluster
-    tables; a chunk reaches the metrics as a table of those rows.  Sums run
-    in cluster order, and coupling's in (i, j) order, so a partition's record
-    has the same bits whatever chunk it was scored in.
+    chunk, and keeps each one's `MetricsRecord`.  The terms that depend on
+    one cluster alone are computed once per distinct mask and kept as a row
+    of the cluster tables; a chunk reaches the metrics as a table of those
+    rows.  Sums run in cluster order, and coupling's in (i, j) order, so a
+    partition's record has the same bits whatever chunk it was scored in.
     """
 
     def __init__(self, model: AccessModel, authors: np.ndarray):
@@ -57,7 +56,7 @@ class Scorer:
         self.members = np.zeros((words, 1), dtype=np.uint64)
         self.reach = np.zeros((words, 1), dtype=np.uint64)
         self._rows: dict[int, int] = {}  # member mask -> its row of the cluster tables
-        self.records: dict[tuple[int, ...], MetricsRecord | str] = {}
+        self.records: dict[tuple[int, ...], MetricsRecord] = {}
 
     def memoize(self, partitions, max_bytes: int) -> None:
         """Score the partitions not seen yet, in chunks of one array pass each.
@@ -151,21 +150,19 @@ def _reduce_columns(ufunc, membership: np.ndarray, table: tuple, dtype) -> np.nd
     return out
 
 
-def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord | str]:
+def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord]:
     """The record of each partition of a table of cluster rows, in one pass over arrays.
 
-    Every metric lies in [0, 1] by construction, so one outside it is a fault
-    of this code: `combined_score`'s MetricsError fails the pass.
+    A history without authors fails the pass with tsr's MetricsError.  Every
+    metric lies in [0, 1] by construction, so one outside it is a fault of
+    this code: `combined_score`'s MetricsError fails the pass too.
     """
-    try:
-        values = (
-            uniform_complexity(scorer, clusters),
-            cohesion(scorer, clusters),
-            coupling(scorer, clusters),
-            tsr(scorer, clusters),
-        )
-    except MetricsError as exc:  # the history has no authors: the same for every partition
-        return [str(exc)] * clusters.shape[1]
+    values = (
+        uniform_complexity(scorer, clusters),
+        cohesion(scorer, clusters),
+        coupling(scorer, clusters),
+        tsr(scorer, clusters),
+    )
     combined = combined_score(*values)
     return list(map(MetricsRecord, *(value.tolist() for value in values), combined.tolist()))
 
@@ -252,7 +249,8 @@ def combined_score(uniform_complexity_value, cohesion_value, coupling_value, tsr
     """Single score to minimize; shifts the improving direction of cohesion.
 
     Takes four floats, or four arrays of one value per partition; any value
-    outside [0, 1] raises MetricsError.
+    outside [0, 1] raises MetricsError, which names the first such value and,
+    for arrays, its partition counted from 1.
     """
     for name, value in (
         ("uniform complexity", uniform_complexity_value),
@@ -260,8 +258,10 @@ def combined_score(uniform_complexity_value, cohesion_value, coupling_value, tsr
         ("coupling", coupling_value),
         ("tsr", tsr_value),
     ):
-        if not np.all((0.0 <= value) & (value <= 1.0)):
-            raise MetricsError(f"{name} out of range: {value!r}")
+        bad = np.flatnonzero(~np.logical_and(0.0 <= value, value <= 1.0))
+        if len(bad):
+            where = f" (partition {bad[0] + 1} of {np.size(value)})" if np.ndim(value) else ""
+            raise MetricsError(f"{name} out of range: {np.ravel(value)[bad[0]].item()!r}{where}")
     return (uniform_complexity_value + coupling_value + tsr_value - cohesion_value + 1.0) / 4.0
 
 
@@ -279,13 +279,9 @@ def evaluate(scorer: Scorer, partition: tuple[int, ...]) -> MetricsRecord:
     """All five quality numbers of one partition, given as member masks over the model's entities.
 
     Reads the scorer's record of the partition, scoring it first when it has
-    none.  A history without authors raises MetricsError with the record's
-    message; so does the scoring pass itself for a metric out of range.
+    none; that pass raises MetricsError for a history without authors or a
+    metric out of range.
     """
-    record = scorer.records.get(partition)
-    if record is None:
+    if partition not in scorer.records:
         scorer.memoize((partition,), 0)  # one partition is one chunk whatever the budget
-        record = scorer.records[partition]
-    if isinstance(record, str):
-        raise MetricsError(record)
-    return record
+    return scorer.records[partition]

@@ -21,7 +21,7 @@ from .clustering import (  # `cut` stays importable here: benchmark/tracing.py w
     to_dissimilarity,
 )
 from .history import DevelopmentHistory
-from .metrics import MetricsError, MetricsRecord, Scorer, evaluate
+from .metrics import MetricsRecord, Scorer, evaluate
 from .similarity import MEASURE_NAMES, Weights, blend, measure_matrices
 
 logger = logging.getLogger(__name__)
@@ -114,14 +114,6 @@ class ResultRow:
     metrics: MetricsRecord
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    codebase: str
-    n_clusters: int
-    weights: Weights
-    error: str
-
-
 # Bytes of dissimilarity matrices clustered as one stack, which bounds the memory
 # a stack adds: 40 weight vectors at 160 entities, 1820 at 24.  Each merge step
 # costs a stack a fixed numpy overhead besides its per-matrix work, so larger
@@ -133,17 +125,14 @@ _STACK_BYTES = 8 * 1024 * 1024
 
 def _score_grid(
     stack: np.ndarray,
-    model: AccessModel,
-    authors: np.ndarray,
+    scorer: Scorer,
     codebase: str,
     counts: list[int],
     weight_vectors: list[Weights],
-) -> tuple[list[ResultRow], list[SweepFailure]]:
+) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    failures: list[SweepFailure] = []
-    scorer = Scorer(model, authors)
-    # each distinct partition is scored once; a history without authors is kept as its message
-    scored: dict[tuple[int, ...], MetricsRecord | str] = {}
+    # `evaluate` is called once per distinct partition: the benchmark tracer counts its calls
+    scored: dict[tuple[int, ...], MetricsRecord] = {}
     capacity = max(1, min(len(weight_vectors), _STACK_BYTES // stack[0].nbytes))
     batch = np.empty((capacity, *stack[0].shape))
     for start in range(0, len(weight_vectors), capacity):
@@ -171,16 +160,9 @@ def _score_grid(
                 partition = partitions[n]
                 record = scored.get(partition)
                 if record is None:
-                    try:
-                        record = evaluate(scorer, partition)
-                    except MetricsError as exc:
-                        record = str(exc)
-                    scored[partition] = record
-                if isinstance(record, str):
-                    failures.append(SweepFailure(codebase, n, weights, record))
-                else:
-                    rows.append(ResultRow(codebase, n, weights, group, record))
-    return rows, failures
+                    record = scored[partition] = evaluate(scorer, partition)
+                rows.append(ResultRow(codebase, n, weights, group, record))
+    return rows
 
 
 def _dendrograms(stack: np.ndarray) -> list[Dendrogram]:
@@ -198,46 +180,36 @@ def run_sweep(
     codebase: str,
     step: int = 10,
     parallelism: int = 1,
-) -> tuple[list[ResultRow], list[SweepFailure]]:
+) -> tuple[list[ResultRow], int]:
     """Score every weight vector at every cluster count for one codebase.
 
-    Rows that fail on a history without authors, tsr's domain error, are
-    reported, not raised; a metric out of range raises MetricsError.  Rows
-    and failures come out in (weight vector, cluster count) order, whatever
-    the parallelism degree, so output is reproducible.
+    Returns the rows, in (weight vector, cluster count) order whatever the
+    parallelism degree, and the count of rows dropped: every row, with one
+    warning and nothing clustered, for a history without authors, on which
+    tsr is undefined; else none.  A metric out of range raises MetricsError.
     """
     if parallelism < 1:
         raise SweepError(f"parallelism must be at least 1, got {parallelism}")
     counts = cluster_counts(len(model.entities))
     weight_vectors = enumerate_weights(step)
     stack = measure_matrices(model, history, entity_files, include_history=True)
-    authors = history.entity_authors([entity_files[e] for e in model.entities])
-    score = partial(_score_grid, stack, model, authors, codebase, counts)
+    scorer = Scorer(model, history.entity_authors([entity_files[e] for e in model.entities]))
+    if not scorer.n_authors:
+        dropped = len(weight_vectors) * len(counts)
+        logger.warning("dropped all %d rows of %s: history has no authors", dropped, codebase)
+        return [], dropped
+    score = partial(_score_grid, stack, scorer, codebase, counts)
     if parallelism == 1:
-        rows, failures = score(weight_vectors)
-    else:
-        # imported here: loading the process pool costs every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
+        return score(weight_vectors), 0
+    # imported here: loading the process pool costs every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunk_size = -(-len(weight_vectors) // parallelism)
-        chunks = [
-            weight_vectors[i : i + chunk_size]
-            for i in range(0, len(weight_vectors), chunk_size)
-        ]
-        rows, failures = [], []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part_rows, part_failures in pool.map(score, chunks):
-                rows.extend(part_rows)
-                failures.extend(part_failures)
-    for failure in failures:
-        logger.warning(
-            "dropped %s n=%d weights=%s: %s",
-            failure.codebase,
-            failure.n_clusters,
-            failure.weights.as_tuple(),
-            failure.error,
-        )
-    return rows, failures
+    chunk_size = -(-len(weight_vectors) // parallelism)
+    chunks = [
+        weight_vectors[i : i + chunk_size] for i in range(0, len(weight_vectors), chunk_size)
+    ]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [row for rows in pool.map(score, chunks) for row in rows], 0
 
 
 def row_values(row: ResultRow, metric_format) -> list:
@@ -322,5 +294,7 @@ def read_results_csv(text: str) -> list[ResultRow]:
             raise SweepError(f"non-finite metric in results CSV row: {record}")
         if row.group not in GROUPS:
             raise SweepError(f"unknown group in results CSV: {row.group!r}")
+        if row.group != classify_group(row.weights):
+            raise SweepError(f"group contradicts the weights in results CSV row: {record}")
         rows.append(row)
     return rows

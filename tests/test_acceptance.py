@@ -100,9 +100,9 @@ def test_acceptance_2_sweep_cardinality(capsys):
         model = to_model(traces)
         commits, files = random_commits(rng, model.entities)
         history = commits_to_history(commits)
-        rows, sweep_failures = run_sweep(model, history, files, f"synevery{n_entities}")
-        if sweep_failures:
-            failures.append(f"{n_entities} entities: {len(sweep_failures)} dropped rows")
+        rows, dropped = run_sweep(model, history, files, f"synevery{n_entities}")
+        if dropped:
+            failures.append(f"{n_entities} entities: {dropped} dropped rows")
         if len(rows) != expected_rows:
             failures.append(f"{n_entities} entities: {len(rows)} rows != {expected_rows}")
     elapsed = time.perf_counter() - started

@@ -393,10 +393,10 @@ def test_a_metric_out_of_range_fails_the_pass(monkeypatch, parallelism):
 
     monkeypatch.setattr(metrics, "coupling", skewed_coupling)
     scorer = Scorer(model, authors)
-    with pytest.raises(MetricsError, match=r"^coupling out of range: "):
+    with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5 \(partition 3 of 3\)$"):
         scorer.memoize(partitions, 1 << 20)
     assert scorer.records == {}
-    with pytest.raises(MetricsError, match=r"^coupling out of range: array\(\[1\.5\]\)$"):
+    with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5 \(partition 1 of 1\)$"):
         evaluate(Scorer(model, authors), partitions[0])
     with pytest.raises(MetricsError, match=r"^coupling out of range: "):
         run_sweep(model, history, files, "demo", step=50, parallelism=parallelism)
@@ -496,15 +496,22 @@ def test_one_pass_gives_the_former_scoring_bit_for_bit(case):
     kind, model, authors, partitions = case
     want = [oracles.evaluate(model, authors, partition) for partition in partitions]
     together = Scorer(model, authors)
-    together.memoize(partitions, 1 << 30)
     one_by_one = Scorer(model, authors)
+    if kind == "no authors":
+        # the former code's answer was this message for each partition; now the pass raises it
+        assert set(want) == {"history has no authors"}
+        with pytest.raises(MetricsError, match=r"^history has no authors$"):
+            together.memoize(partitions, 1 << 30)
+        for partition in partitions:
+            with pytest.raises(MetricsError, match=r"^history has no authors$"):
+                one_by_one.memoize([partition], 0)
+        assert together.records == one_by_one.records == {}
+        return
+    together.memoize(partitions, 1 << 30)
     for partition in partitions:
         one_by_one.memoize([partition], 0)
     for scorer in (together, one_by_one):
-        records = [scorer.records[partition] for partition in partitions]
-        assert [r if isinstance(r, str) else tuple(r) for r in records] == want
-    if kind == "no authors":
-        assert set(want) == {"history has no authors"}
-    elif kind == "zero ceiling":
+        assert [tuple(scorer.records[partition]) for partition in partitions] == want
+    if kind == "zero ceiling":
         assert max_complexity(model) == 0.0
         assert {values[0] for values in want} == {0.0}

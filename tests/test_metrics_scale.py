@@ -153,8 +153,8 @@ def test_sweep_csv_is_byte_identical(seed, n_entities, n_functionalities):
     model = to_model(traces)
     commits, files = random_commits(rng, model.entities, extra_commits=4 * n_entities)
     history = commits_to_history(commits)
-    rows, failures = run_sweep(model, history, files, f"synth{seed}", step=step)
-    assert not failures
+    rows, dropped = run_sweep(model, history, files, f"synth{seed}", step=step)
+    assert dropped == 0
     assert hashlib.sha256(write_results_csv(rows).encode()).hexdigest() == expected
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import logging
+import pickle
 import random
 
 import pytest
@@ -38,7 +39,14 @@ from monosplit.sweep import (
     SEQUENCES_ONLY,
 )
 
-from synth import commits_to_history, partition_masks, random_commits, random_traces, to_model
+from synth import (
+    commits_to_history,
+    empty_history,
+    partition_masks,
+    random_commits,
+    random_traces,
+    to_model,
+)
 
 
 # --------------------------------------------------------------- enumeration
@@ -153,13 +161,13 @@ def _setup(seed, n_entities=5):
 @pytest.fixture(scope="module")
 def small_sweep():
     model, history, files = _setup(42)
-    rows, failures = run_sweep(model, history, files, "demo")
-    return model, history, files, rows, failures
+    rows, dropped = run_sweep(model, history, files, "demo")
+    return model, history, files, rows, dropped
 
 
 def test_sweep_emits_one_row_per_vector_and_count(small_sweep):
-    _, _, _, rows, failures = small_sweep
-    assert failures == []
+    _, _, _, rows, dropped = small_sweep
+    assert dropped == 0
     assert len(rows) == 3003
     assert all(row.n_clusters == 3 for row in rows)
     assert all(row.codebase == "demo" for row in rows)
@@ -240,8 +248,8 @@ def test_sweep_rows_match_single_runs_on_whole_grid(n_entities):
     model = to_model(traces)
     commits, files = random_commits(rng, model.entities, extra_commits=4 * n_entities)
     history = commits_to_history(commits)
-    rows, failures = run_sweep(model, history, files, "grid", step=20)
-    assert failures == []
+    rows, dropped = run_sweep(model, history, files, "grid", step=20)
+    assert dropped == 0
     counts = cluster_counts(n_entities)
     grid = enumerate_weights(20)
     scored = {(row.weights, row.n_clusters): row.metrics for row in rows}
@@ -257,24 +265,24 @@ def test_sweep_rows_match_single_runs_on_whole_grid(n_entities):
 
 def test_sweep_covers_wider_band_for_larger_codebases():
     model, history, files = _setup(7, n_entities=10)
-    rows, failures = run_sweep(model, history, files, "wide")
-    assert failures == []
+    rows, dropped = run_sweep(model, history, files, "wide")
+    assert dropped == 0
     assert len(rows) == 9009
     assert sorted({row.n_clusters for row in rows}) == [3, 4, 5]
 
 
 def test_parallel_sweep_matches_serial(small_sweep):
     model, history, files, rows, _ = small_sweep
-    parallel_rows, failures = run_sweep(model, history, files, "demo", parallelism=2)
-    assert failures == []
+    parallel_rows, dropped = run_sweep(model, history, files, "demo", parallelism=2)
+    assert dropped == 0
     assert parallel_rows == rows
 
 
 @pytest.fixture(scope="module")
 def wide_sweep_csv():
     model, history, files = _setup(7, n_entities=22)
-    rows, failures = run_sweep(model, history, files, "demo", step=20)
-    assert failures == []
+    rows, dropped = run_sweep(model, history, files, "demo", step=20)
+    assert dropped == 0
     return model, history, files, write_results_csv(rows)
 
 
@@ -290,8 +298,8 @@ def test_sweep_csv_does_not_depend_on_the_stack_size(monkeypatch, wide_sweep_csv
     monkeypatch.setattr(
         sweep_module, "agglomerate", lambda matrix: calls.append(1) or agglomerate(matrix)
     )
-    rows, failures = run_sweep(model, history, files, "demo", step=20)
-    assert failures == []
+    rows, dropped = run_sweep(model, history, files, "demo", step=20)
+    assert dropped == 0
     assert write_results_csv(rows) == expected
     assert len(calls) == single
 
@@ -310,10 +318,14 @@ def test_the_pool_starts_one_worker_per_chunk(monkeypatch, small_sweep, parallel
             asked.append(max_workers)
             super().__init__(max_workers)
 
+        def map(self, fn, *iterables):
+            # as a process pool does, each task runs on its own copy of `fn` and its scorer
+            return super().map(lambda *args: pickle.loads(pickle.dumps(fn))(*args), *iterables)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    rows, failures = run_sweep(model, history, files, "demo", step=100, parallelism=parallelism)
+    rows, dropped = run_sweep(model, history, files, "demo", step=100, parallelism=parallelism)
     assert asked == [chunks]
-    assert failures == []
+    assert dropped == 0
     assert rows == serial_rows
 
 
@@ -337,46 +349,6 @@ def _poison_evaluate(monkeypatch, model, poisoned, error):
     monkeypatch.setattr(sweep_module, "evaluate", flaky_evaluate)
 
 
-def test_row_failures_are_collected_not_raised(monkeypatch, caplog, small_sweep):
-    model, history, files, clean_rows, _ = small_sweep
-    partitions = {
-        weights: _decompose_clusters(model, history, files, weights, [3])[3]
-        for weights in enumerate_weights(10)
-    }
-    poisoned = partitions[Weights(0, 0, 0, 0, 0, 100)]
-    dropped = [weights for weights, clusters in partitions.items() if clusters == poisoned]
-    assert 1 < len(dropped) < len(partitions)
-    _poison_evaluate(monkeypatch, model, poisoned, MetricsError("injected scoring fault"))
-    with caplog.at_level(logging.WARNING, logger="monosplit.sweep"):
-        rows, failures = run_sweep(model, history, files, "demo")
-    assert [(f.weights, f.n_clusters) for f in failures] == [(w, 3) for w in dropped]
-    assert all("injected scoring fault" in f.error for f in failures)
-    dropped_logs = [record for record in caplog.records if "dropped" in record.message]
-    assert len(dropped_logs) == len(dropped)
-    assert rows == [row for row in clean_rows if partitions[row.weights] != poisoned]
-
-
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_rows_come_out_in_grid_order_with_failures(monkeypatch, parallelism):
-    """Rows and failures are in (weights, count) order as emitted, with no re-sort of the rows."""
-    model, history, files = _setup(7, n_entities=10)
-    counts = cluster_counts(len(model.entities))
-    grid = enumerate_weights(20)
-    # this 4-cluster partition recurs across both halves of the grid, so in both workers
-    poisoned = _decompose_clusters(model, history, files, Weights(0, 20, 20, 0, 0, 60), [4])[4]
-    _poison_evaluate(monkeypatch, model, poisoned, MetricsError("injected scoring fault"))
-    rows, failures = run_sweep(model, history, files, "order", step=20, parallelism=parallelism)
-    row_keys = [(row.weights.as_tuple(), row.n_clusters) for row in rows]
-    failure_keys = [(f.weights.as_tuple(), f.n_clusters) for f in failures]
-    halves = {grid.index(f.weights) < len(grid) // 2 for f in failures}
-    assert halves == {True, False}
-    assert row_keys == sorted(row_keys)
-    assert failure_keys == sorted(failure_keys)
-    assert sorted(row_keys + failure_keys) == [
-        (weights.as_tuple(), n) for weights in grid for n in counts
-    ]
-
-
 def test_each_distinct_partition_is_evaluated_once(monkeypatch):
     import monosplit.sweep as sweep_module
 
@@ -390,8 +362,8 @@ def test_each_distinct_partition_is_evaluated_once(monkeypatch):
         return real_evaluate(scorer, partition)
 
     monkeypatch.setattr(sweep_module, "evaluate", counting_evaluate)
-    rows, failures = run_sweep(model, history, files, "wide", step=20)
-    assert failures == []
+    rows, dropped = run_sweep(model, history, files, "wide", step=20)
+    assert dropped == 0
     assert len(rows) == len(enumerate_weights(20)) * len(counts)
     distinct = {
         clusters
@@ -402,12 +374,43 @@ def test_each_distinct_partition_is_evaluated_once(monkeypatch):
     assert set(scored) == distinct
 
 
-def test_programming_errors_are_raised_not_collected(monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, MetricsError])
+def test_programming_errors_are_raised_not_collected(monkeypatch, error):
+    """Past the no-authors check no row is dropped: any error in scoring fails the sweep."""
     model, history, files = _setup(42)
     poisoned = _decompose_clusters(model, history, files, Weights(0, 0, 0, 0, 0, 100), [3])[3]
-    _poison_evaluate(monkeypatch, model, poisoned, RuntimeError("injected bug"))
-    with pytest.raises(RuntimeError, match="injected bug"):
+    _poison_evaluate(monkeypatch, model, poisoned, error("injected bug"))
+    with pytest.raises(error, match="injected bug"):
         run_sweep(model, history, files, "demo")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_history_without_authors_drops_every_row_unclustered(
+    monkeypatch, caplog, parallelism
+):
+    """tsr is undefined for every row alike: the sweep drops them all at once, with one warning."""
+    import concurrent.futures
+
+    import monosplit.sweep as sweep_module
+
+    model = to_model(random_traces(random.Random(7), 10))
+    files = {entity: None for entity in model.entities}
+
+    def unexpected(*args):
+        raise AssertionError("clustered a sweep whose every row is dropped")
+
+    monkeypatch.setattr(sweep_module, "agglomerate", unexpected)
+    monkeypatch.setattr(sweep_module, "agglomerate_stack", unexpected)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unexpected)  # no worker starts
+    with caplog.at_level(logging.WARNING, logger="monosplit.sweep"):
+        rows, dropped = run_sweep(
+            model, empty_history(), files, "lone", step=20, parallelism=parallelism
+        )
+    assert rows == []
+    assert dropped == len(enumerate_weights(20)) * len(cluster_counts(len(model.entities)))
+    assert [record.message for record in caplog.records] == [
+        f"dropped all {dropped} rows of lone: history has no authors"
+    ]
 
 
 # ------------------------------------------------------------------------ CSV
@@ -528,6 +531,11 @@ def test_sweep_output_is_deterministic():
             ",".join(CSV_COLUMNS)
             + "\ndemo,3,10,20,30,40,0,0,NO_SUCH_GROUP,0.1,0.2,0.25,0.5,0.3875\n",
             "unknown group",
+        ),
+        (
+            ",".join(CSV_COLUMNS)
+            + "\nshop,3,100,0,0,0,0,0,FILES_ONLY,0.1,0.2,0.25,0.5,0.3875\n",
+            "group contradicts the weights",
         ),
         (
             ",".join(CSV_COLUMNS)
