@@ -245,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--accesses", required=True, help="functionality access JSON")
     sweep.add_argument("--codebase", required=True, help="codebase id for the result rows")
     sweep.add_argument("--step", type=int, choices=STEPS, default=10,
-                       help="weight grid step, a divisor of 100 (default 10)")
+                       help="weight grid step, a divisor of 100 (default 10); the grid holds"
+                       " C(100/step + 5, 5) vectors, a CSV row each per cluster count: 3003"
+                       " at step 10, 3 478 761 at step 2, and 96 560 646 at step 1, about"
+                       " 12 GiB before any row is written")
     sweep.add_argument("--ext", default=".java", help="entity file extension (default .java)")
     sweep.add_argument("--out", required=True, help="output results CSV path")
     sweep.set_defaults(func=_cmd_sweep)

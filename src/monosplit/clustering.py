@@ -69,14 +69,18 @@ def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
 
 
 def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
-    """UPGMA that takes every row's minimum at every merge, on an n x n slot matrix.
+    """UPGMA that takes every live row's minimum at every merge, on a shrinking slot prefix.
 
-    Each slot holds one live cluster, and `ids` maps slot to cluster id; the
-    merged cluster takes the lower of the pair's slots, and the other slot's
-    row and column go to infinity.  Of the rows whose minimum is the smallest,
-    the one with the smallest id is the pair's first cluster; the smallest id
-    at that distance in its row is the second.  That is the pair with the
-    smallest (min id, max id), without listing the ties.
+    Before merge step s the m = n - s live clusters sit in slots 0 .. m-1,
+    and `ids` maps slot to cluster id; the step reads and writes only that
+    m x m prefix.  The merged cluster takes the lower of the pair's slots;
+    the cluster in the last live slot moves into the upper one with its row,
+    column, id and size, or stays put when the upper slot is the last one.
+    This is the slot rule of `agglomerate_stack`.  Of the rows whose minimum
+    is the smallest, the one with the smallest id is the pair's first
+    cluster; the smallest id at that distance in its row is the second.
+    That is the pair with the smallest (min id, max id), without listing the
+    ties, and it is read through `ids` whatever slots the clusters sit in.
     """
     n = matrix.shape[0]
     work = matrix.copy()
@@ -87,24 +91,30 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
     lowest = np.empty(n)
     lefts, rights, heights = [], [], []
     for step in range(n - 1):
-        work.min(axis=1, out=lowest)
-        height = lowest.min()
-        first = int(np.where(lowest == height, ids, no_id).argmin())
-        row = work[first]
-        second = int(np.where(row == height, ids, no_id).argmin())
+        last = n - 1 - step  # the last live slot; after this merge, slots 0 .. last-1 are live
+        live, live_ids = work[: last + 1, : last + 1], ids[: last + 1]
+        live_lowest = live.min(axis=1, out=lowest[: last + 1])
+        height = live_lowest.min()
+        first = int(np.where(live_lowest == height, live_ids, no_id).argmin())
+        row = live[first]
+        second = int(np.where(row == height, live_ids, no_id).argmin())
         first_size, second_size = sizes[first], sizes[second]
+        # infinite at the pair's own slots, where one of the two lines holds its diagonal
         merged = first_size * row
-        merged += second_size * work[second]
+        merged += second_size * live[second]
         merged /= first_size + second_size
         keep, gone = min(first, second), max(first, second)
-        merged[keep] = merged[gone] = np.inf
-        work[keep] = work[:, keep] = merged
-        work[gone] = work[:, gone] = np.inf
         lefts.append(int(ids[first]))
         rights.append(int(ids[second]))
         heights.append(float(height))
-        ids[keep] = n + step
-        sizes[keep] = first_size + second_size
+        # the last live cluster moves into the upper slot (onto itself when it is that slot);
+        # the row copy takes its diagonal along, which the column copy puts at (gone, gone)
+        merged[gone] = merged[last]
+        live[gone] = live[last]
+        live[:last, gone] = live[:last, last]
+        live[keep, :last] = live[:last, keep] = merged[:last]
+        ids[gone], sizes[gone] = ids[last], sizes[last]
+        ids[keep], sizes[keep] = n + step, first_size + second_size
     return Dendrogram(n, tuple(lefts), tuple(rights), tuple(heights))
 
 

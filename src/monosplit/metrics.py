@@ -23,6 +23,8 @@ class Scorer:
     of the cluster tables; a chunk reaches the metrics as a table of those
     rows.  Sums run in cluster order, and coupling's in (i, j) order, so a
     partition's record has the same bits whatever chunk it was scored in.
+    A pass that raises leaves the tables and records as they were.  One
+    scorer is not shared between threads: its tables grow without a lock.
     """
 
     def __init__(self, model: AccessModel, authors: np.ndarray):
@@ -98,7 +100,6 @@ class Scorer:
         unseen = [mask for mask in dict.fromkeys(masks) if mask not in rows]
         if not unseen:
             return
-        rows.update(zip(unseen, range(len(self.sizes), len(self.sizes) + len(unseen))))
         width = 8 * len(self.members)
         packed = np.frombuffer(
             b"".join(mask.to_bytes(width, "little") for mask in unseen), np.uint8
@@ -117,12 +118,18 @@ class Scorer:
         reached = _reduce_columns(np.logical_or, membership.view(bool), self._steps_to, bool)
         reach = np.zeros_like(packed)
         reach[:, : -(-self.n_entities // 8)] = np.packbits(reached, axis=1, bitorder="little")
-        self.sizes = np.concatenate([self.sizes, sizes])
-        self.cohesions = np.concatenate([self.cohesions, cohesions])
-        self.author_counts = np.concatenate([self.author_counts, author_counts])
-        self.touching = np.concatenate([self.touching, touching > 0])
-        self.members = np.concatenate([self.members, packed.view(np.uint64).T], axis=1)
-        self.reach = np.concatenate([self.reach, reach.view(np.uint64).T], axis=1)
+        start = len(self.sizes)
+        # all six tables grow in one assignment, and only then do the masks get their
+        # rows: a pass that raises leaves the scorer as it was
+        self.sizes, self.cohesions, self.author_counts, self.touching, self.members, self.reach = (
+            np.concatenate([self.sizes, sizes]),
+            np.concatenate([self.cohesions, cohesions]),
+            np.concatenate([self.author_counts, author_counts]),
+            np.concatenate([self.touching, touching > 0]),
+            np.concatenate([self.members, packed.view(np.uint64).T], axis=1),
+            np.concatenate([self.reach, reach.view(np.uint64).T], axis=1),
+        )
+        rows.update(zip(unseen, range(start, start + len(unseen))))
 
 
 def _by_column(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

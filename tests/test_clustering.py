@@ -424,8 +424,8 @@ def test_stacked_upgma_rescans_the_merged_row():
     assert agglomerate(matrix).height == (0.25, 0.25, 0.3125)
 
 
-# The stacked kernel keeps the live clusters in a shrinking prefix of slots: a
-# merge frees its pair's upper slot, and the cluster in the last live slot moves
+# Both kernels keep the live clusters in a shrinking prefix of slots: a merge
+# frees its pair's upper slot, and the cluster in the last live slot moves
 # into it.  Both kernels meet these cases.  Entries are eighths, so every
 # average is exact and the oracle's plain mean agrees with the kernels' update
 # bit for bit.
@@ -451,7 +451,7 @@ PREFIX_CASES = {
 def test_prefix_edge_cases_match_the_oracle(case):
     matrix = np.array(PREFIX_CASES[case], dtype=float) / 8
     mirrored = matrix[::-1, ::-1].copy()
-    assert _merge_triples(agglomerate(matrix)) == _oracle(matrix)
+    assert _merge_triples(agglomerate(matrix)) == _oracle(matrix) == scan_upgma(matrix)
     for stack in (matrix[None], np.stack([matrix, mirrored])):
         for one, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
             assert _merge_triples(dendrogram) == _oracle(one)

@@ -294,6 +294,28 @@ def test_batched_terms_without_authors_keep_the_tsr_error():
         evaluate(scorer, partition)
 
 
+def test_a_failed_pass_leaves_no_rows_behind(monkeypatch):
+    """Masks of a pass that raised get no rows, so later masks cannot take theirs."""
+    rng = random.Random(3)
+    model = to_model(random_traces(rng, 10))
+    commits, files = random_commits(rng, model.entities)
+    authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
+    a, b = (0b0000011111, 0b1111100000), (0b0101010101, 0b1010101010)
+    scorer = Scorer(model, authors)
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    with monkeypatch.context() as patch, pytest.raises(MemoryError):
+        patch.setattr(metrics, "_reduce_columns", out_of_memory)
+        evaluate(scorer, a)
+    evaluate(scorer, b)
+    assert [_terms(scorer, mask) for mask in a + b] == [
+        oracles.cluster_terms(model, authors, mask) for mask in a + b
+    ]
+    assert evaluate(scorer, a) == evaluate(Scorer(model, authors), a)
+
+
 # ------------------------------------------------------------------ combined
 
 

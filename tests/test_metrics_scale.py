@@ -12,11 +12,13 @@ from monosplit import (
     agglomerate,
     build_similarity_matrix,
     cut,
+    enumerate_weights,
     evaluate,
     run_sweep,
     to_dissimilarity,
     write_results_csv,
 )
+from monosplit.similarity import blend, measure_matrices
 
 import oracles
 from synth import (
@@ -211,3 +213,23 @@ def test_decompose_outputs_are_byte_identical(weights):
 def test_decompose_outputs_are_byte_identical_at_160_entities(weights):
     _, _, model, history, files = _benchmark_model(6, 160, 8, 22)
     _check_decompose_pins(160, weights, model, history, files)
+
+
+def test_slot_kernel_matches_full_scan_at_160_entities():
+    """`agglomerate` against the former full-scan kernel on the sweep-wide shape, bit for bit.
+
+    On the single measures other than commit, many merges tie at height 0,
+    so clusters move into freed slots on ties all along the merge sequence.
+    """
+    _, _, model, history, files = _benchmark_model(6, 160, 8, 22)
+    stack = measure_matrices(model, history, files, include_history=True)
+    mismatched, zero_heights = [], []
+    for weights in enumerate_weights(50):
+        matrix = to_dissimilarity(blend(stack, weights))
+        dendrogram = agglomerate(matrix)
+        merges = list(zip(dendrogram.left, dendrogram.right, dendrogram.height))
+        if merges != oracles.scan_upgma(matrix):
+            mismatched.append(weights.as_tuple())
+        zero_heights.append(dendrogram.height.count(0.0))
+    assert mismatched == []
+    assert max(zero_heights) > 100

@@ -52,7 +52,10 @@ from synth import (
 # --------------------------------------------------------------- enumeration
 
 
-@pytest.mark.parametrize("step, expected", [(10, 3003), (20, 252), (50, 21), (100, 6)])
+@pytest.mark.parametrize(
+    "step, expected",
+    [(4, 142_506), (5, 53_130), (10, 3003), (20, 252), (25, 126), (50, 21), (100, 6)],
+)
 def test_grid_sizes(step, expected):
     assert len(enumerate_weights(step)) == expected
 
