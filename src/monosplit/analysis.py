@@ -130,19 +130,17 @@ class SizeSplit:
     labels: dict[str, dict[str, str]]  # codebase -> {"commits": ..., "authors": ...}
 
 
-def size_split(stats: list[CodebaseStats], sample_std: bool = False) -> SizeSplit:
-    """Label codebases LARGE whose count strictly exceeds mean + one standard deviation.
+def size_split(stats: list[CodebaseStats]) -> SizeSplit:
+    """Label codebases LARGE whose count strictly exceeds mean + one population standard deviation.
 
-    Commits and authors are split independently.  The population standard
-    deviation is used unless sample_std is set.
+    Commits and authors are split independently.
     """
     if len(stats) < 2:
         raise StatsError("size split needs at least two codebases")
-    ddof = 1 if sample_std else 0
     commits = np.array([s.commits for s in stats], dtype=float)
     authors = np.array([s.authors for s in stats], dtype=float)
-    commit_threshold = float(commits.mean() + commits.std(ddof=ddof))
-    author_threshold = float(authors.mean() + authors.std(ddof=ddof))
+    commit_threshold = float(commits.mean() + commits.std())
+    author_threshold = float(authors.mean() + authors.std())
     labels = {
         s.codebase: {
             "commits": LARGE if s.commits > commit_threshold else SMALL,

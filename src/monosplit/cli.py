@@ -193,7 +193,7 @@ def _cmd_analyze(args) -> int:
             "p": round(result.p_value, 6),
         }
     if args.size_split:
-        split = size_split(_read_codebase_stats(args.size_split), sample_std=args.sample_std)
+        split = size_split(_read_codebase_stats(args.size_split))
         report["sizeLabels"] = {
             "commitThreshold": round(split.commit_threshold, 6),
             "authorThreshold": round(split.author_threshold, 6),
@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="one-sided Welch test that GROUP_A exceeds GROUP_B on METRIC")
     analyze.add_argument("--size-split", metavar="STATS_CSV",
                          help="codebase,commits,authors CSV to label SMALL/LARGE")
-    analyze.add_argument("--sample-std", action="store_true",
-                         help="use the sample standard deviation in the size split")
     analyze.add_argument("--out", required=True, help="output report JSON path")
     analyze.set_defaults(func=_cmd_analyze)
     return parser
@@ -272,10 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.ERROR if args.quiet else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # a handler of this call's own, on the stderr of the moment and removed on return:
+    # logging.basicConfig would fix the first call's level and stream for every later one
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_logger = logging.getLogger(__package__)
+    package_logger.addHandler(handler)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -284,6 +285,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

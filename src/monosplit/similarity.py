@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 from dataclasses import dataclass
 from posixpath import basename
@@ -171,6 +173,14 @@ def blend(stack: np.ndarray, weights: Weights) -> np.ndarray:
     return values
 
 
+def csv_cell(text: str) -> str:
+    """A text cell as csv.writer writes it within a row."""
+    buffer = io.StringIO()
+    # with a second cell: a row of one empty cell is written as `""`
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[: -len(",\n")]
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     entities: tuple[str, ...]  # sorted
@@ -178,6 +188,9 @@ class SimilarityMatrix:
 
     def to_csv(self) -> str:
         """Header row of entities, then one row per entity with its cells to six decimals.
+
+        Entity names are quoted as csv.writer quotes them, so a name holding a
+        comma, a quote or a line break stays one cell.
 
         Blended matrices hold few distinct values, so each distinct float64 bit
         pattern is formatted once and the rows are joined from the looked-up
@@ -188,8 +201,9 @@ class SimilarityMatrix:
         bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
         text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
         cells = text[inverse.reshape(values.shape)].tolist()
-        lines = ["entity," + ",".join(self.entities)]
-        lines.extend(entity + "," + ",".join(row) for entity, row in zip(self.entities, cells))
+        names = [csv_cell(entity) for entity in self.entities]
+        lines = ["entity," + ",".join(names)]
+        lines.extend(name + "," + ",".join(row) for name, row in zip(names, cells))
         return "\n".join(lines) + "\n"
 
 

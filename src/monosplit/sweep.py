@@ -12,17 +12,12 @@ from functools import partial
 import numpy as np
 
 from .accesses import AccessModel
-from .clustering import (  # `cut` stays importable here: benchmark/tracing.py wraps it by this name
-    Dendrogram,
-    agglomerate,
-    agglomerate_stack,
-    cut,
-    cuts,
-    to_dissimilarity,
-)
+# `agglomerate` and `cut` are not called here: they stay importable by these names
+# because benchmark/tracing.py wraps them in this module
+from .clustering import agglomerate, agglomerate_stack, cut, cuts, to_dissimilarity
 from .history import DevelopmentHistory
 from .metrics import MetricsRecord, Scorer, evaluate
-from .similarity import MEASURE_NAMES, Weights, blend, measure_matrices
+from .similarity import MEASURE_NAMES, Weights, blend, csv_cell, measure_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +139,7 @@ def _score_grid(
             batch[i] = to_dissimilarity(blend(stack, weights))
         # the dendrograms are dropped once cut, before the scorer's pass allocates
         stack_partitions = [
-            cuts(dendrogram, counts) for dendrogram in _dendrograms(batch[: len(vectors)])
+            cuts(dendrogram, counts) for dendrogram in agglomerate_stack(batch[: len(vectors)])
         ]
         # the partitions this stack cuts that no earlier stack did are scored in one
         # array pass per chunk, and `evaluate` reads each one's record.  Chunks of an
@@ -163,14 +158,6 @@ def _score_grid(
                     record = scored[partition] = evaluate(scorer, partition)
                 rows.append(ResultRow(codebase, n, weights, group, record))
     return rows
-
-
-def _dendrograms(stack: np.ndarray) -> list[Dendrogram]:
-    if len(stack) == 1:
-        # on one matrix the slot kernel beats the stacked one: medians of 0.52
-        # against 1.8 ms at 24 entities, 5.8 against 16 ms at 160 (2-core VM)
-        return [agglomerate(stack[0])]
-    return agglomerate_stack(stack)
 
 
 def run_sweep(
@@ -227,20 +214,12 @@ def row_values(row: ResultRow, metric_format) -> list:
 _ROW_FORMAT = ",".join(["%s", *["%d"] * 7, "%s", *["%.6f"] * len(METRIC_COLUMNS)]) + "\n"
 
 
-def _csv_cell(text: str) -> str:
-    """A text cell as csv.writer writes it within a row."""
-    buffer = io.StringIO()
-    # with a second cell: a row of one empty cell is written as `""`
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[: -len(",\n")]
-
-
 def write_results_csv(rows: list[ResultRow]) -> str:
     """The rows as csv.writer writes their `row_values` with six decimals, under the header."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(CSV_COLUMNS)
     texts = {text for row in rows for text in (row.codebase, row.group)}
-    cells = {text: _csv_cell(text) for text in texts}
+    cells = {text: csv_cell(text) for text in texts}
     write = buffer.write
     for row in rows:
         write(

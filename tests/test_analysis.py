@@ -321,7 +321,7 @@ def test_size_split_equal_counts_are_all_small():
     )
 
 
-def test_size_split_sample_std_raises_threshold():
+def test_size_split_uses_the_population_deviation():
     # population std of {0,50,100} is 40.8, sample std exactly 50: the top
     # codebase clears mean+std only under the population convention
     stats = [
@@ -330,11 +330,8 @@ def test_size_split_sample_std_raises_threshold():
         CodebaseStats("c", 100, 1),
     ]
     population = size_split(stats)
-    sample = size_split(stats, sample_std=True)
-    assert sample.commit_threshold > population.commit_threshold
-    assert sample.commit_threshold == pytest.approx(100.0)
+    assert population.commit_threshold == pytest.approx(50 + 50 * (2 / 3) ** 0.5)
     assert population.labels["c"]["commits"] == "LARGE"
-    assert sample.labels["c"]["commits"] == "SMALL"
 
 
 def test_size_split_is_order_invariant():

@@ -1,7 +1,10 @@
 """End-to-end command line tests over the fixture repository and crafted inputs."""
 
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +22,7 @@ from monosplit import (
     write_results_csv,
 )
 from conftest import DATA
-from monosplit.cli import main
+from monosplit.cli import build_parser, main
 from monosplit.sweep import CSV_COLUMNS
 
 
@@ -30,6 +33,44 @@ def _mine(fixture_repo, tmp_path, name="history.json"):
 
 
 # ------------------------------------------------------------------ plumbing
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _option_strings(parser):
+    """A parser's option strings, without -h/--help."""
+    return {
+        option
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+
+
+def _readme_usage_blocks():
+    """Each untagged fenced README block that starts `monosplit <command>`: its command and flags."""
+    blocks = {}
+    lines = iter(README.read_text().splitlines())
+    for line in lines:
+        if line.startswith("```"):
+            # takewhile also consumes the closing fence
+            body = " ".join(itertools.takewhile(lambda text: not text.startswith("```"), lines))
+            words = body.split()
+            if line == "```" and words[:1] == ["monosplit"]:
+                assert words[1] not in blocks, f"two usage blocks for {words[1]}"
+                blocks[words[1]] = set(re.findall(r"--[a-z][a-z-]*", body))
+    return blocks
+
+
+def test_readme_usage_blocks_list_the_parser_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _readme_usage_blocks() == {
+        command: _option_strings(sub) for command, sub in commands.choices.items()
+    }
+    (global_flags,) = re.findall(r"^Global flags.*?\n\n", README.read_text(), re.M | re.S)
+    assert set(re.findall(r"--[a-z][a-z-]*", global_flags)) == _option_strings(parser)
+
 
 _COLD_START = """
 import json, sys
@@ -51,6 +92,50 @@ def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():
     assert facts["loaded"] == []
     assert facts["p_value"] == pytest.approx(0.8267, abs=5e-4)  # test_welch_reference_case
     assert facts["special"]
+
+
+_TWO_CALLS = """
+import contextlib, io, json, sys
+from monosplit.cli import main
+history, accesses, out, quiet_first = sys.argv[1:]
+buffers = []
+for quiet in ([True, False] if quiet_first == "1" else [False, True]):
+    buffers.append(io.StringIO())
+    with contextlib.redirect_stderr(buffers[-1]):
+        flags = ["--quiet"] if quiet else []
+        main(flags + ["sweep", "--history", history, "--accesses", accesses,
+                      "--codebase", "shop", "--step", "50", "--out", out])
+print(json.dumps([buffer.getvalue() for buffer in buffers]))
+"""
+
+
+@pytest.mark.parametrize("quiet_first", [True, False])
+def test_each_call_applies_its_own_quiet_on_its_own_stderr(tmp_path, accesses_path, quiet_first):
+    """Two calls in one process: each one's stderr holds its own warnings and no other's.
+
+    A fresh interpreter, since pytest's handlers on the root logger hide a handler
+    that the first call leaves behind.
+    """
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"fileChanges": {}, "authorship": {}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = [str(history), str(accesses_path), str(tmp_path / "results.csv"), str(int(quiet_first))]
+    child = subprocess.run(
+        [sys.executable, "-c", _TWO_CALLS, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert child.stderr == ""
+    quiet, loud = json.loads(child.stdout)[:: 1 if quiet_first else -1]
+    dropped = 21 * len(cluster_counts(3))  # 21 vectors on the step-50 grid, 3 entities
+    assert quiet == ""
+    assert loud.splitlines() == [
+        *(
+            f"WARNING monosplit.similarity: entity {entity}: no history file named {entity}.java"
+            for entity in ("Order", "Product", "User")
+        ),
+        f"WARNING monosplit.sweep: dropped all {dropped} rows of shop: history has no authors",
+        f"{dropped} rows failed and were dropped",
+    ]
 
 
 def test_version_flag_exits_cleanly(capsys):
@@ -471,6 +556,21 @@ def test_analyze_garbage_results_is_pipeline_error(tmp_path, capsys):
     code = main(["analyze", str(garbage), "--out", str(tmp_path / "report.json")])
     assert code == 1
     assert "results CSV" in capsys.readouterr().err
+
+
+def test_analyze_has_no_sample_std_flag(tmp_path):
+    """The size split always takes the population deviation: the former flag is unknown."""
+    stats = tmp_path / "stats.csv"
+    stats.write_text("codebase,commits,authors\na,1,2\nb,3,4\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "analyze", str(_crafted_results(tmp_path)),
+                "--size-split", str(stats), "--sample-std",
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+    assert info.value.code == 2
 
 
 def test_analyze_bad_stats_file_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Six similarity measures, entity-file mapping, and matrix blending."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -275,6 +277,18 @@ def test_matrix_csv_format():
     assert lines[1] == "A,1.000000,0.583333"
     assert lines[2] == "B,1.000000,1.000000"
     assert len(lines) == 3
+
+
+def test_matrix_csv_quotes_entity_names():
+    """A name holding a comma, a quote or a line break stays one cell; a plain one keeps its bytes."""
+    entities = ("a,b", 'd"e', "plain", "x\ny")
+    matrix = SimilarityMatrix(entities, np.eye(len(entities)))
+    text = matrix.to_csv()
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["entity", *entities]
+    assert [row[0] for row in rows] == list(entities)
+    assert all(len(row) == len(entities) + 1 for row in rows)
+    assert "\nplain,0.000000,0.000000,1.000000,0.000000\n" in text
 
 
 def _per_cell_csv(matrix):
