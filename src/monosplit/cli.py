@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import math
@@ -119,23 +121,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_codebase_stats(path: str) -> list[CodebaseStats]:
-    lines = [line for line in _read_text(path).splitlines() if line.strip()]
-    if not lines or lines[0].split(",") != ["codebase", "commits", "authors"]:
+    # quoted as the results CSV is; blank and whitespace-only lines are skipped
+    reader = csv.reader(io.StringIO(_read_text(path)), strict=True)
+    try:
+        records = [cells for cells in reader if len(cells) > 1 or "".join(cells).strip()]
+    except csv.Error as exc:
+        raise UsageError(f"{path}: bad stats row at line {reader.line_num}: {exc}") from None
+    if not records or records[0] != ["codebase", "commits", "authors"]:
         raise UsageError(f"{path}: expected header codebase,commits,authors")
     stats: dict[str, CodebaseStats] = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"{path}: bad stats row: {line!r}")
-        if not parts[0] or parts[0] != parts[0].strip():
-            raise UsageError(f"{path}: codebase name empty or padded with spaces: {line!r}")
+    for cells in records[1:]:
+        if len(cells) != 3:
+            raise UsageError(f"{path}: bad stats row: {cells!r}")
+        if not cells[0] or cells[0] != cells[0].strip():
+            raise UsageError(f"{path}: codebase name empty or padded with spaces: {cells!r}")
         try:
-            row = CodebaseStats(parts[0], float(parts[1]), float(parts[2]))
+            row = CodebaseStats(cells[0], float(cells[1]), float(cells[2]))
         except ValueError:
-            raise UsageError(f"{path}: bad stats row: {line!r}") from None
+            raise UsageError(f"{path}: bad stats row: {cells!r}") from None
         # comparisons with NaN are false, so this also rejects NaN
         if not (0 <= row.commits < math.inf and 0 <= row.authors < math.inf):
-            raise UsageError(f"{path}: counts must be finite and not negative: {line!r}")
+            raise UsageError(f"{path}: counts must be finite and not negative: {cells!r}")
         if row.codebase in stats:
             raise UsageError(f"{path}: codebase listed twice: {row.codebase!r}")
         stats[row.codebase] = row

@@ -33,11 +33,11 @@ class Scorer:
         self.n_functionalities = len(model.functionalities)
         self.ceiling = max_complexity(model)
         self.n_authors = authors.shape[1]
-        # Entity x (functionality, then author) incidence: 1 where the
-        # functionality touches the entity or the author changed its file; and
-        # entity x entity, 1 where some trace steps from the one straight to the other.
-        self._touched_or_authored = _by_column(np.hstack([model.touch.T, authors]))
-        self._steps_to = _by_column(model.steps > 0)
+        # Entity x (functionality, then author, then entity) incidence: true where
+        # the functionality touches the entity, the author changed its file, or some
+        # trace steps from the entity straight to the other one.  Bool, so that the
+        # scorer pickled to each pool worker stays small.
+        self._incidence = np.hstack([model.touch.T > 0, authors, model.steps > 0])
         # With d the distributed indicator, r = R'd, w = W'd and b = (R and W)'d,
         # a read of e by f pays w_e less f's own write of e, and a write pays r_e
         # less f's own read, so the cost is 2 * (r.w - sum b) = 2 * (d'(RW')d - sum b),
@@ -106,18 +106,21 @@ class Scorer:
         ).reshape(len(unseen), width)
         membership = np.unpackbits(packed, axis=1, count=self.n_entities, bitorder="little")
         sizes = np.count_nonzero(membership, axis=1)
-        # members of each cluster each functionality touches, then each author changed
-        count_type = np.min_scalar_type(self.n_entities)
-        counts = _reduce_columns(np.add, membership, self._touched_or_authored, count_type)
-        touching = counts[:, : self.n_functionalities]
+        # members of each cluster each functionality touches, each author changed and
+        # that step straight to each entity: a float64 product of 0/1 tables, exact, every
+        # partial sum being an integer at most n, far below 2**53
+        touching, authored, reached = np.split(
+            membership.astype(float) @ self._incidence,
+            [self.n_functionalities, self.n_functionalities + self.n_authors],
+            axis=1,
+        )
         # share of the cluster each touching functionality touches, in float64, summed
         # one by one in model order (a functionality not touching it adds 0.0)
         shares = np.cumsum(touching / sizes[:, None], axis=1)[:, -1]
         cohesions = shares / np.count_nonzero(touching, axis=1)
-        author_counts = np.count_nonzero(counts[:, self.n_functionalities :], axis=1)
-        reached = _reduce_columns(np.logical_or, membership.view(bool), self._steps_to, bool)
+        author_counts = np.count_nonzero(authored, axis=1)
         reach = np.zeros_like(packed)
-        reach[:, : -(-self.n_entities // 8)] = np.packbits(reached, axis=1, bitorder="little")
+        reach[:, : -(-self.n_entities // 8)] = np.packbits(reached > 0, axis=1, bitorder="little")
         start = len(self.sizes)
         # all six tables grow in one assignment, and only then do the masks get their
         # rows: a pass that raises leaves the scorer as it was
@@ -130,31 +133,6 @@ class Scorer:
             np.concatenate([self.reach, reach.view(np.uint64).T], axis=1),
         )
         rows.update(zip(unseen, range(start, start + len(unseen))))
-
-
-def _by_column(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """A 0/1 table as its nonzero cells grouped by column.
-
-    Returns the cells' rows, column by column; where each column that has
-    cells starts among them; those columns; and the table's width.
-    """
-    column, row = np.nonzero(table.T)
-    starts = np.flatnonzero(np.diff(column, prepend=-1))
-    return row, starts, column[starts], table.shape[1]
-
-
-def _reduce_columns(ufunc, membership: np.ndarray, table: tuple, dtype) -> np.ndarray:
-    """`ufunc` over each cluster's members in each column of a `_by_column` table.
-
-    A row of `membership` is a cluster's 0/1 indicator over the entities,
-    which are the table's rows: `np.add` counts the cluster's members in each
-    column, `np.logical_or` tells whether it has any.  The result has
-    `dtype`; when that is membership's own, the gathered cells are not cast.
-    """
-    rows, starts, columns, width = table
-    out = np.zeros((len(membership), width), dtype=dtype)
-    out[:, columns] = ufunc.reduceat(membership[:, rows], starts, axis=1, dtype=dtype)
-    return out
 
 
 def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord]:

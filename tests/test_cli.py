@@ -498,7 +498,9 @@ def test_analyze_size_split_section(tmp_path):
     results = _crafted_results(tmp_path)
     stats = tmp_path / "stats.csv"
     stats.write_text(
-        "codebase,commits,authors\nshop,10,2\nblog,12,2\nwiki,11,2\nbank,500,40\n",
+        # quoted as the results CSV is, with a blank and a whitespace-only line
+        "codebase,commits,authors\nshop,10,2\n\nblog,12,2\n  \nwiki,11,2\n"
+        'bank,500,40\n"shop,eu",9,2\n',
         encoding="utf-8",
     )
     report_path = tmp_path / "report.json"
@@ -509,6 +511,8 @@ def test_analyze_size_split_section(tmp_path):
     section = json.loads(report_path.read_text())["sizeLabels"]
     assert section["labels"]["bank"] == {"commits": "LARGE", "authors": "LARGE"}
     assert section["labels"]["shop"] == {"commits": "SMALL", "authors": "SMALL"}
+    assert section["labels"]["shop,eu"] == {"commits": "SMALL", "authors": "SMALL"}
+    assert len(section["labels"]) == 5
     assert section["commitThreshold"] > 0
 
 
@@ -590,6 +594,7 @@ def test_analyze_bad_stats_file_is_usage_error(tmp_path, capsys):
         (header + " a,7,8\nb,5,6\n", "codebase name empty or padded with spaces"),
         (header + "a ,7,8\nb,5,6\n", "codebase name empty or padded with spaces"),
         (header + "b,5,6\n a ,7,8\n", "codebase name empty or padded with spaces"),
+        (header + 'b,5,6\n"shop,eu,7,8\n', "bad stats row"),  # the quote is never closed
     ]
     for text, message in cases:
         stats.write_text(text, encoding="utf-8")

@@ -259,17 +259,21 @@ def test_batched_terms_equal_the_former_per_member_loop(n):
     The sizes put the last entity on either side of a byte of the
     functionality bits and of a 64-bit word of the member and reach bits;
     nine authors take two bytes.  One functionality touches every entity but
-    Z, so at 300 entities a count outgrows a byte.
+    Z, so at 300 entities a count outgrows a byte.  No trace steps to Z, and
+    one author changed no entity's file: each is an all-zero column of the
+    scorer's incidence table.
     """
     rng = random.Random(f"batched/{n}")
     traces = random_traces(rng, n - 1, 11, max_extra=12)
     traces["f11"] = [(f"E{i:02d}", "W") for i in range(n - 1)]
-    traces["f00"].append(("Z", "R"))  # no trace steps on from Z
+    traces["f12"] = [("Z", "R")]  # no trace steps on from Z, nor to Z
     model = to_model(traces)
     z = model.entities.index("Z")
-    assert not model.steps[z].any()
+    assert not model.steps[z].any() and not model.steps[:, z].any()
     commits, files = random_commits(rng, model.entities, n_authors=9, extra_commits=2 * n)
+    commits.append(("idle@example.com", {"docs/README.md"}))  # an author of no entity's file
     authors = commits_to_history(commits).entity_authors([files[e] for e in model.entities])
+    assert not authors.any(axis=0).all()
     masks = [(1 << n) - 1, 1 << z] + [1 << rng.randrange(n) for _ in range(5)]
     for k in (2, 3, 7, 10):
         masks += partition_masks(model.entities, random_partition(rng, model.entities, k))
@@ -303,11 +307,16 @@ def test_a_failed_pass_leaves_no_rows_behind(monkeypatch):
     a, b = (0b0000011111, 0b1111100000), (0b0101010101, 0b1010101010)
     scorer = Scorer(model, authors)
 
-    def out_of_memory(*args):
-        raise MemoryError
+    class OutOfMemory:
+        """Stands in for the incidence table: the product with the unpacked masks raises."""
+
+        __array_ufunc__ = None  # so that `membership @ table` defers to __rmatmul__
+
+        def __rmatmul__(self, membership):
+            raise MemoryError
 
     with monkeypatch.context() as patch, pytest.raises(MemoryError):
-        patch.setattr(metrics, "_reduce_columns", out_of_memory)
+        patch.setattr(scorer, "_incidence", OutOfMemory())
         evaluate(scorer, a)
     evaluate(scorer, b)
     assert [_terms(scorer, mask) for mask in a + b] == [
