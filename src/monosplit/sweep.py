@@ -235,8 +235,18 @@ def write_results_csv(rows: list[ResultRow]) -> str:
     return buffer.getvalue()
 
 
+def _csv_records(text: str):
+    # strict: a quote inside an unquoted cell or after a closing quote is an
+    # error, not a character of the cell
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SweepError(f"bad results CSV at line {reader.line_num}: {exc}") from None
+
+
 def read_results_csv(text: str) -> list[ResultRow]:
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_records(text)
     try:
         header = next(reader)
     except StopIteration:

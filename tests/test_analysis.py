@@ -1,9 +1,11 @@
 """Welch tests, quantile summaries, best-row selection and codebase size splits."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from monosplit import (
     CodebaseStats,
@@ -17,7 +19,8 @@ from monosplit import (
     size_split,
     welch_test,
 )
-from monosplit.analysis import METRIC_COLUMNS, quartiles
+from monosplit import analysis
+from monosplit.analysis import METRIC_COLUMNS, _student_upper_tail, quartiles
 
 import oracles
 
@@ -100,6 +103,91 @@ def test_welch_allows_one_flat_sample():
     result = welch_test([2.0, 2.0, 2.0], [5.0, 6.0])
     assert result.t_statistic < 0
     assert 0.0 <= result.p_value <= 1.0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [math.inf, 2.0]),
+        ([-math.inf, 2.0], [1.0, 2.0, 3.0]),
+    ],
+)
+def test_welch_rejects_non_finite_values(a, b):
+    with pytest.raises(StatsError, match="finite values only"):
+        welch_test(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1e308, -1e308], [1.0, 2.0]),  # a squared deviation overflows
+        ([1e308, 1.7e308], [1.0, 2.0]),  # the sum overflows
+        ([0.0, 1e-10], [1e300, 1e300]),  # t overflows
+        ([0.0, 1e-160], [0.0, 1e-160]),  # the df fraction underflows to 0/0
+    ],
+)
+def test_welch_rejects_samples_beyond_the_float_range(a, b):
+    with pytest.raises(StatsError, match="not finite"):
+        welch_test(a, b)
+
+
+def test_welch_tail_of_a_t_whose_square_overflows():
+    forward = welch_test([1e150, 1e150], [0.0, 1e-10])
+    assert forward.t_statistic > 1e154 and forward.degrees_of_freedom == 1.0
+    assert forward.p_value == 0.0
+    assert welch_test([0.0, 1e-10], [1e150, 1e150]).p_value == 1.0
+
+
+# ------------------------------------------------------------ Student t tail
+
+_TAIL_DFS = np.logspace(0, 6, 25).tolist()
+_TAIL_TS = [sign * t for t in np.logspace(-8, math.log10(40), 20).tolist() for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("df", _TAIL_DFS)
+def test_student_tail_matches_high_precision_oracle(df):
+    for t in _TAIL_TS:
+        exact = oracles.student_upper_tail(t, df)
+        if exact > 1e-300:
+            assert _student_upper_tail(t, df) == pytest.approx(exact, rel=1e-10), t
+
+
+@pytest.mark.parametrize("df", _TAIL_DFS)
+def test_student_tail_matches_scipy(df):
+    for t in _TAIL_TS:
+        ours, theirs = _student_upper_tail(t, df), float(stdtr(df, -t))
+        if theirs > 1e-300 and ours != pytest.approx(theirs, rel=1e-10):
+            # scipy's own error passes the bound at df 1 and |t| up to 1e-7 (3e-9
+            # at |t| 1e-8): there the tail must be the nearer to mpmath
+            exact = oracles.student_upper_tail(t, df)
+            assert abs(ours - exact) < abs(theirs - exact), t
+
+
+@pytest.mark.parametrize("df", _TAIL_DFS)
+def test_student_tail_is_even_at_zero_and_symmetric(df):
+    assert _student_upper_tail(0.0, df) == 0.5
+    assert _student_upper_tail(-0.0, df) == 0.5
+    for t in _TAIL_TS:
+        assert _student_upper_tail(t, df) + _student_upper_tail(-t, df) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+
+def test_student_tail_converges_within_its_term_limit(monkeypatch):
+    # the fraction converges slowest where it switches to the mirrored form,
+    # at x = (a+1)/(a+2.5), which is |t| near √3
+    monkeypatch.setattr(analysis, "_MAX_FRACTION_TERMS", 73)
+    for df in np.logspace(0, 10, 41).tolist():
+        switch = math.sqrt(1.5 * df / (df / 2 + 1))
+        for t in np.linspace(0.9 * switch, 1.1 * switch, 41).tolist() + _TAIL_TS:
+            assert 0.0 <= _student_upper_tail(t, df) <= 1.0
+
+
+def test_student_tail_raises_when_the_fraction_does_not_converge(monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_FRACTION_TERMS", 2)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _student_upper_tail(1.75, 1000.0)
 
 
 # ---------------------------------------------------------------- quantiles

@@ -531,6 +531,12 @@ def test_sweep_output_is_deterministic():
             "bad results CSV row",
         ),
         (
+            # a lenient reader takes this cell as `shopx`
+            ",".join(CSV_COLUMNS)
+            + '\n"shop"x,3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875\n',
+            "bad results CSV at line 2",
+        ),
+        (
             ",".join(CSV_COLUMNS)
             + "\ndemo,3,10,20,30,40,0,0,NO_SUCH_GROUP,0.1,0.2,0.25,0.5,0.3875\n",
             "unknown group",
