@@ -53,9 +53,9 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, errors: str = "strict") -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors=errors) as handle:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
@@ -69,7 +69,7 @@ def _write_text(path: str, text: str) -> None:
 def _load_inputs(args):
     history = DevelopmentHistory.parse(_read_text(args.history))
     model = load_access_model(_read_text(args.accesses))
-    entity_files = map_entities_to_files(model.entities, history, extension=args.ext)
+    entity_files = map_entities_to_files(model.entities, history)
     return history, model, entity_files
 
 
@@ -77,12 +77,9 @@ def _cmd_mine(args) -> int:
     if os.path.isdir(args.source):
         log_text = read_git_log(args.source)
     else:
-        log_text = _read_text(args.source)
+        log_text = _read_text(args.source, errors="surrogateescape")  # as read_git_log decodes
     history = mine_history(
-        log_text,
-        extension=args.ext,
-        window_seconds=args.window_secs,
-        max_files=args.max_files,
+        log_text, args.ext, window_seconds=args.window_secs, max_files=args.max_files
     )
     _write_text(args.out, history.serialize())
     return 0
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--clusters", type=_positive_int, required=True,
                            help="number of clusters")
     decompose.add_argument("--codebase", default="monolith", help="codebase id for the output")
-    decompose.add_argument("--ext", default=".java", help="entity file extension (default .java)")
     decompose.add_argument("--matrix-out", help="optional similarity matrix CSV dump")
     decompose.add_argument("--out", required=True, help="output decomposition JSON path")
     decompose.set_defaults(func=_cmd_decompose)
@@ -255,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                        " C(100/step + 5, 5) vectors, a CSV row each per cluster count: 3003"
                        " at step 10, 3 478 761 at step 2, and 96 560 646 at step 1, about"
                        " 12 GiB before any row is written")
-    sweep.add_argument("--ext", default=".java", help="entity file extension (default .java)")
     sweep.add_argument("--out", required=True, help="output results CSV path")
     sweep.set_defaults(func=_cmd_sweep)
 

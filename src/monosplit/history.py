@@ -22,6 +22,7 @@ RENAME = "R"
 GIT_LOG_ARGS = [
     "log",
     "--reverse",
+    "--topo-order",
     "--name-status",
     "--find-renames",
     "--pretty=format:commit%x09%H%x09%ct%x09%ae",
@@ -60,25 +61,25 @@ class LogicalCommit:
 
 
 def read_git_log(repo_path: str) -> str:
-    """Run git against a repository and return the raw log text."""
+    """Run git against a repository and return the raw log text.
+
+    Bytes that are not UTF-8 decode to lone surrogates (`surrogateescape`),
+    so two names that differ in such bytes stay two names.
+    """
     try:
-        proc = subprocess.run(
-            ["git", "-C", repo_path, *GIT_LOG_ARGS],
-            capture_output=True,
-            text=True,
-        )
+        proc = subprocess.run(["git", "-C", repo_path, *GIT_LOG_ARGS], capture_output=True)
     except OSError as exc:
         raise HistoryError(f"cannot run git: {exc}") from exc
     if proc.returncode != 0:
-        raise HistoryError(f"git log failed: {proc.stderr.strip()}")
-    return proc.stdout
+        raise HistoryError(f"git log failed: {proc.stderr.decode(errors='replace').strip()}")
+    return proc.stdout.decode(errors="surrogateescape")
 
 
 def parse_git_log(text: str, extension: str = ".java") -> list[ChangeEvent]:
     """Parse log text into change events, keeping only files with the given extension.
 
-    Events come back ordered by (timestamp, commit hash); file order within a
-    commit is preserved.
+    Events come back in log order, oldest commit first as `GIT_LOG_ARGS` prints
+    them; commit times do not reorder them.
     """
     events: list[ChangeEvent] = []
     current: tuple[str, int, str] | None = None
@@ -124,7 +125,6 @@ def parse_git_log(text: str, extension: str = ".java") -> list[ChangeEvent]:
             events.append(ChangeEvent(commit_hash, timestamp, author, letter, parts[1]))
         else:
             raise GitLogError(f"line {lineno}: unknown status letter: {letter!r}")
-    events.sort(key=lambda e: (e.timestamp, e.commit_hash))
     return events
 
 
@@ -198,11 +198,10 @@ def drop_oversized_commits(events: list[ChangeEvent], max_files: int = 100) -> l
 def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> list[LogicalCommit]:
     """Bundle runs of same-author raw commits with gaps within the window.
 
-    Raw commits are taken in the order of their first event, which
-    `parse_git_log` has put in (timestamp, commit hash) order; a raw commit's
-    time is that of its first event.  The gap test is pairwise between adjacent
-    commits of a run, so a long run can span more than one window.  A commit by
-    another author breaks the run.
+    Raw commits are taken in the order of their first event, which is log
+    order; a raw commit's time is that of its first event.  The gap test is
+    pairwise between adjacent commits of a run, so a long run can span more
+    than one window.  A commit by another author breaks the run.
     """
     raw: dict[str, tuple[int, str, set[str]]] = {}
     for event in events:
@@ -261,9 +260,6 @@ class DevelopmentHistory:
 
     def files(self) -> list[str]:
         return list(self.positions)
-
-    def has_file(self, filename: str) -> bool:
-        return filename in self.positions
 
     @property
     def file_commit_count(self) -> dict[str, int]:

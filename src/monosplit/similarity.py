@@ -6,7 +6,6 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from posixpath import basename
 
 import numpy as np
 
@@ -55,22 +54,22 @@ class Weights:
         return cls(*numbers)
 
 
-def map_entities_to_files(
-    entities, history: DevelopmentHistory, extension: str = ".java"
-) -> dict[str, str | None]:
-    """Map each entity name to the history file named <entity><extension>.
+def map_entities_to_files(entities, history: DevelopmentHistory) -> dict[str, str | None]:
+    """Map each entity name to the history file of that name less its last extension.
 
+    `mine` keeps the files of one extension, so the history settles it.
     Multiple candidates: the shortest path wins.  No candidate: the entity maps
     to None and takes zero history similarity everywhere.
     """
-    by_basename: dict[str, list[str]] = {}
+    by_stem: dict[str, list[str]] = {}
     for filename in history.files():
-        by_basename.setdefault(basename(filename), []).append(filename)
+        name = filename.rpartition("/")[2]
+        by_stem.setdefault(name.rpartition(".")[0] or name, []).append(filename)
     mapping: dict[str, str | None] = {}
     for entity in entities:
-        candidates = by_basename.get(entity + extension, [])
+        candidates = by_stem.get(entity, [])
         if not candidates:
-            logger.warning("entity %s: no history file named %s%s", entity, entity, extension)
+            logger.warning("entity %s: no history file named %s", entity, entity)
             mapping[entity] = None
         elif len(candidates) > 1:
             chosen = min(candidates, key=lambda p: (len(p), p))
@@ -123,22 +122,6 @@ def _author_matrix(entities, history: DevelopmentHistory, entity_files) -> np.nd
     return _row_shares(shared, np.diag(shared))
 
 
-def _validate_entity_files(model: AccessModel, history: DevelopmentHistory, entity_files) -> None:
-    missing = [e for e in model.entities if e not in entity_files]
-    if missing:
-        raise SimilarityError(
-            "entities with nonzero history weights lack a file mapping: " + ", ".join(missing)
-        )
-    lost = [
-        e for e in model.entities if entity_files[e] is not None and not history.has_file(entity_files[e])
-    ]
-    if lost:
-        raise SimilarityError(
-            "entities mapped to files absent from history: "
-            + ", ".join(f"{e} -> {entity_files[e]}" for e in lost)
-        )
-
-
 def measure_matrices(
     model: AccessModel,
     history: DevelopmentHistory,
@@ -148,7 +131,9 @@ def measure_matrices(
     """The six per-measure matrices over the model's sorted entities, stacked in MEASURE_NAMES order.
 
     With include_history=False the commit and author matrices are zero, and
-    the history and the mapping are not read.
+    the history and the mapping are not read.  Otherwise the mapping holds
+    every entity (KeyError if not), and a file absent from the history reads
+    as no file.
     """
     entities = model.entities
     n = len(entities)
@@ -159,7 +144,6 @@ def measure_matrices(
     stack[3] = _sequence_matrix(model.steps)
     if not include_history:
         return stack
-    _validate_entity_files(model, history, entity_files)
     stack[4] = _commit_matrix(entities, history, entity_files)
     stack[5] = _author_matrix(entities, history, entity_files)
     return stack

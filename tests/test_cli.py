@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from monosplit import (
+    DevelopmentHistory,
     MetricsRecord,
     ResultRow,
     Weights,
@@ -134,7 +135,7 @@ def test_each_call_applies_its_own_quiet_on_its_own_stderr(tmp_path, accesses_pa
     assert quiet == ""
     assert loud.splitlines() == [
         *(
-            f"WARNING monosplit.similarity: entity {entity}: no history file named {entity}.java"
+            f"WARNING monosplit.similarity: entity {entity}: no history file named {entity}"
             for entity in ("Order", "Product", "User")
         ),
         f"WARNING monosplit.sweep: dropped all {dropped} rows of shop: history has no authors",
@@ -234,6 +235,87 @@ def test_mine_garbage_log_is_pipeline_error(tmp_path, capsys):
     code = main(["mine", str(bad), "--out", str(tmp_path / "h.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_mine_repository_with_a_name_that_is_not_utf8(tmp_path, monkeypatch):
+    """Under core.quotePath = false git prints a Latin-1 name's raw byte; it stays its own file."""
+    config = tmp_path / "gitconfig"
+    config.write_text(
+        "[core]\n\tquotePath = false\n[user]\n\tname = Dev\n\temail = dev@example.com\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    for name in (b"Caf\xe9.java", "Café.java".encode()):
+        with open(os.path.join(os.fsencode(repo), name), "w", encoding="ascii") as handle:
+            handle.write("class Cafe {}\n")
+    for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "cafes"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    out = tmp_path / "history.json"
+    assert main(["mine", str(repo), "--out", str(out)]) == 0
+    # history.json is ASCII: the byte is written as the escape of its surrogate
+    assert "\\udce9" in out.read_text(encoding="ascii")
+    history = DevelopmentHistory.parse(out.read_text(encoding="ascii"))
+    assert history.files() == ["Café.java", "Caf\udce9.java"]
+
+
+def test_mine_saved_log_with_an_author_byte_that_is_not_utf8(tmp_path):
+    log = tmp_path / "saved.log"
+    log.write_bytes(b"commit\th1\t1000\tCaf\xe9@Example.com\nA\tA.java\n")
+    out = tmp_path / "history.json"
+    assert main(["mine", str(log), "--out", str(out)]) == 0
+    history = DevelopmentHistory.parse(out.read_text(encoding="ascii"))
+    assert history.authors == ("caf\udce9@example.com",)
+
+
+def test_decompose_and_sweep_read_the_extension_off_the_history(
+    fixture_repo, tmp_path, accesses_path, capsys
+):
+    """A history mined with --ext .kt gives the same measures as its .java twin, with no warning."""
+    java_log = read_git_log(str(fixture_repo))
+    outputs = []
+    for ext in (".java", ".kt"):
+        log = tmp_path / f"saved{ext}.log"
+        log.write_text(java_log.replace(".java", ext), encoding="utf-8")
+        history = tmp_path / f"history{ext}.json"
+        assert main(["mine", str(log), "--ext", ext, "--out", str(history)]) == 0
+        inputs = ["--history", str(history), "--accesses", str(accesses_path)]
+        matrix, decomposition, results = (tmp_path / f"{name}{ext}" for name in "mdr")
+        assert main(
+            ["decompose", *inputs, "--weights", "0,0,0,0,50,50", "--clusters", "2",
+             "--matrix-out", str(matrix), "--out", str(decomposition)]
+        ) == 0
+        assert main(
+            ["sweep", *inputs, "--codebase", "shop", "--step", "50", "--out", str(results)]
+        ) == 0
+        outputs.append([path.read_text() for path in (matrix, decomposition, results)])
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1]
+    # the history measures are not all zero: some cell off the diagonal is positive
+    cells = [row.split(",")[1:] for row in outputs[1][0].splitlines()[1:]]
+    assert any(float(cell) > 0 for i, row in enumerate(cells) for j, cell in enumerate(row) if i != j)
+
+
+@pytest.mark.parametrize("command", ["decompose", "sweep"])
+def test_decompose_and_sweep_have_no_ext_flag(tmp_path, accesses_path, command):
+    """The history settles the entity files' extension: the former flag is unknown."""
+    args = {
+        "decompose": ["--weights", "100,0,0,0,0,0", "--clusters", "2"],
+        "sweep": ["--codebase", "shop"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                command,
+                "--history", str(tmp_path / "never-read.json"),
+                "--accesses", str(accesses_path),
+                *args, "--ext", ".java",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+    assert info.value.code == 2
 
 
 # ----------------------------------------------------------------- decompose

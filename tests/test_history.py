@@ -38,26 +38,38 @@ SIMPLE_LOG = (
 
 
 def test_parse_fields_filter_and_order():
+    # log order is kept, also where a later commit has the earlier time
     events = parse_git_log(SIMPLE_LOG)
     assert [(e.commit_hash, e.status, e.filename) for e in events] == [
-        ("h1", ADD, "src/A.java"),
-        ("h1", ADD, "src/B.java"),
         ("h2", MODIFY, "src/A.java"),
         ("h2", RENAME, "src/C.java"),
+        ("h1", ADD, "src/A.java"),
+        ("h1", ADD, "src/B.java"),
     ]
-    assert events[0].timestamp == 1000
-    assert events[2].author == "big.dev@example.com"
-    rename = events[3]
+    assert events[2].timestamp == 1000
+    assert events[0].author == "big.dev@example.com"
+    rename = events[1]
     assert rename.previous_filename == "src/B.java"
 
 
-def test_parse_orders_same_timestamp_by_hash():
+def test_parse_keeps_log_order_at_one_timestamp():
     text = (
         "commit\tzzz\t5000\tdev@example.com\nA\tZ.java\n\n"
         "commit\taaa\t5000\tdev@example.com\nA\tA.java\n"
     )
     events = parse_git_log(text)
-    assert [e.commit_hash for e in events] == ["aaa", "zzz"]
+    assert [e.commit_hash for e in events] == ["zzz", "aaa"]
+
+
+def test_rename_applies_in_log_order_under_clock_skew():
+    """A rename committed with an earlier clock than the add before it still follows the add."""
+    text = (
+        "commit\tc1\t200\tdev1@example.com\nA\tA.java\n\n"
+        "commit\tc2\t100\tdev2@example.com\nR100\tA.java\tB.java\n\n"
+        "commit\tc3\t300\tdev1@example.com\nM\tB.java\n"
+    )
+    history = mine_history(text, window_seconds=0)
+    assert history.file_commit_count == {"B.java": 3}
 
 
 def test_parse_honors_extension_filter():
@@ -260,7 +272,7 @@ def test_no_usable_history_raises():
 
 def test_unknown_file_reads_as_empty():
     history = build_history_representation([LogicalCommit("x", {"A"})])
-    assert not history.has_file("B")
+    assert "B" not in history.positions
     assert history.shared_commits(["A", "B", None]).tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     assert history.entity_authors(["A", "B", None]).tolist() == [[True], [False], [False]]
 

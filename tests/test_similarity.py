@@ -120,8 +120,10 @@ def test_commit_measure(small_history):
     assert commit("B", "A") == 1.0
     assert commit("A", "A") == 1.0
     assert commit("A", "C") == pytest.approx(1 / 3)
-    with pytest.raises(SimilarityError, match="Nope"):
-        measure_matrices(model, small_history, {**ABC_FILES, "B": "src/Nope.java"})
+    # a file the history lacks reads as no file
+    lost = measure_matrices(model, small_history, {**ABC_FILES, "B": "src/Nope.java"})
+    unmapped = measure_matrices(model, small_history, {**ABC_FILES, "B": None})
+    assert _same_bits(lost, unmapped)
 
 
 def test_author_measure(small_history):
@@ -179,7 +181,7 @@ def test_history_measures_equal_the_former_loops(case):
         oracles.author_matrix(entities, file_authors, entity_files),
     )
     # the former loop raised on a file the history lacks; such an entity now reads as unmapped
-    known = {e: f if f is None or history.has_file(f) else None for e, f in entity_files.items()}
+    known = {e: f if f in history.positions else None for e, f in entity_files.items()}
     assert _same_bits(
         _commit_matrix(entities, history, entity_files),
         oracles.commit_matrix(entities, counts, co_changes, known),
@@ -240,7 +242,7 @@ def test_unmapped_entity_contributes_zero_history(small_history):
 
 def test_missing_map_entry_with_history_weights_raises(small_history):
     model = _model({"f1": [["A", "R"], ["B", "W"]]})
-    with pytest.raises(SimilarityError, match="B"):
+    with pytest.raises(KeyError, match="B"):
         build_similarity_matrix(model, small_history, {"A": "src/A.java"}, Weights(0, 0, 0, 0, 100, 0))
 
 
@@ -250,10 +252,13 @@ def test_map_not_needed_without_history_weights():
     assert _at(matrix, "A", "B") == 1.0
 
 
-def test_map_to_file_absent_from_history_raises(small_history):
-    model = _model({"f1": [["A", "R"]]})
-    with pytest.raises(SimilarityError, match="Nope"):
-        build_similarity_matrix(model, small_history, {"A": "src/Nope.java"}, Weights(0, 0, 0, 0, 100, 0))
+def test_map_to_file_absent_from_history_reads_as_unmapped(small_history):
+    model = _model({"f1": [["A", "R"], ["B", "W"]]})
+    weights = Weights(0, 0, 0, 0, 50, 50)
+    lost = build_similarity_matrix(model, small_history, {"A": "src/A.java", "B": "src/Nope.java"}, weights)
+    unmapped = build_similarity_matrix(model, small_history, {"A": "src/A.java", "B": None}, weights)
+    assert _same_bits(lost.values, unmapped.values)
+    assert _at(lost, "A", "B") == _at(lost, "B", "A") == 0.0
 
 
 def test_map_entities_by_basename(small_history):
@@ -265,6 +270,23 @@ def test_map_prefers_shortest_path():
     history = commits_to_history([("x", {"a/A.java", "deep/legacy/A.java"})])
     mapping = map_entities_to_files(["A"], history)
     assert mapping == {"A": "a/A.java"}
+
+
+def test_map_by_name_less_its_last_extension(caplog):
+    """The history's own extension decides: no extension is passed in."""
+    history = commits_to_history([("x", {"src/A.kt", "src/B.test.kt", "README"})])
+    with caplog.at_level("WARNING", logger="monosplit"):
+        mapping = map_entities_to_files(["A", "B", "B.test", "README"], history)
+    assert mapping == {"A": "src/A.kt", "B": None, "B.test": "src/B.test.kt", "README": "README"}
+    assert caplog.messages == ["entity B: no history file named B"]
+
+
+def test_map_stem_shared_across_extensions_keeps_the_shortest_path(caplog):
+    history = commits_to_history([("x", {"a/A.java", "deep/x/A.kt"})])
+    with caplog.at_level("WARNING", logger="monosplit"):
+        mapping = map_entities_to_files(["A"], history)
+    assert mapping == {"A": "a/A.java"}
+    assert caplog.messages == ["entity A: 2 candidate files, keeping a/A.java"]
 
 
 def test_matrix_csv_format():
