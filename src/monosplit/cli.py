@@ -77,9 +77,12 @@ def _cmd_mine(args) -> int:
     if os.path.isdir(args.source):
         log_text = read_git_log(args.source)
     else:
-        log_text = _read_text(args.source, errors="surrogateescape")  # as read_git_log decodes
+        log_text = _read_text(args.source, errors="surrogateescape")
     history = mine_history(
-        log_text, args.ext, window_seconds=args.window_secs, max_files=args.max_files
+        log_text,
+        extension=args.ext,
+        window_seconds=args.window_secs,
+        max_files=args.max_files,
     )
     _write_text(args.out, history.serialize())
     return 0

@@ -201,7 +201,10 @@ def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> lis
     Raw commits are taken in the order of their first event, which is log
     order; a raw commit's time is that of its first event.  The gap test is
     pairwise between adjacent commits of a run, so a long run can span more
-    than one window.  A commit by another author breaks the run.
+    than one window.  Log order need not follow time (a merged branch's
+    commits are listed together, dated before the commit listed ahead of
+    them), so the gap is the distance between the two times, either way.
+    A commit by another author breaks the run.
     """
     raw: dict[str, tuple[int, str, set[str]]] = {}
     for event in events:
@@ -214,7 +217,7 @@ def bundle_commits(events: list[ChangeEvent], window_seconds: int = 3600) -> lis
     last_timestamp = 0
     for timestamp, author, files in raw.values():
         same_run = bundles and bundles[-1].author == author
-        if same_run and timestamp - last_timestamp <= window_seconds:
+        if same_run and abs(timestamp - last_timestamp) <= window_seconds:
             bundles[-1].files.update(files)
         else:
             bundles.append(LogicalCommit(author, files))

@@ -57,7 +57,8 @@ class Weights:
 def map_entities_to_files(entities, history: DevelopmentHistory) -> dict[str, str | None]:
     """Map each entity name to the history file of that name less its last extension.
 
-    `mine` keeps the files of one extension, so the history settles it.
+    `mine` keeps the files of one extension, so the history settles it; of a
+    multi-dot extension (`.spec.ts`) only the last part goes.
     Multiple candidates: the shortest path wins.  No candidate: the entity maps
     to None and takes zero history similarity everywhere.
     """

@@ -1,5 +1,6 @@
 """Shared fixtures: data paths and a deterministic throwaway git repository."""
 
+import importlib.util
 import os
 import subprocess
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 DATA = Path(__file__).parent / "data"
+_TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 ALICE = ("Alice Dev", "alice@example.com")
 BOB = ("Bob Dev", "bob@example.com")
@@ -84,3 +86,11 @@ def accesses_path():
 
 def log_fixture(name):
     return (DATA / name).read_text()
+
+
+def load_tracing():
+    """benchmark/tracing.py, loaded from its file under a name of its own."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -72,6 +72,40 @@ def test_rename_applies_in_log_order_under_clock_skew():
     assert history.file_commit_count == {"B.java": 3}
 
 
+def test_rename_under_clock_skew_by_one_author_stays_unbundled():
+    """The skew log again with one author: c2 is dated 100 s before c1, which is no gap of 0."""
+    text = (
+        "commit\tc1\t200\tdev1@example.com\nA\tA.java\n\n"
+        "commit\tc2\t100\tdev1@example.com\nR100\tA.java\tB.java\n\n"
+        "commit\tc3\t300\tdev1@example.com\nM\tB.java\n"
+    )
+    history = mine_history(text, window_seconds=0)
+    assert history.file_commit_count == {"B.java": 3}
+
+
+# --topo-order lists a merged branch's commits together, after the main-line
+# commit m2 that is dated later than both of them; mg is the merge itself
+MERGE_LOG = (
+    "commit\tm1\t100\tdev@example.com\nA\tMain.java\n\n"
+    "commit\tm2\t300\tdev@example.com\nM\tMain.java\n\n"
+    "commit\tb1\t150\tdev@example.com\nA\tSide.java\n\n"
+    "commit\tb2\t200\tdev@example.com\nM\tSide.java\n\n"
+    "commit\tmg\t400\tdev@example.com\n"
+)
+
+
+def test_merged_branch_dated_before_the_commit_ahead_of_it_stays_unbundled():
+    events = parse_git_log(MERGE_LOG)
+    assert [e.commit_hash for e in events] == ["m1", "m2", "b1", "b2"]
+    assert [b.files for b in bundle_commits(events, window_seconds=0)] == [
+        {"Main.java"}, {"Main.java"}, {"Side.java"}, {"Side.java"}
+    ]
+    # 150 s from m2 back to b1 is within a window of 150; m1 to m2 is not
+    assert [b.files for b in bundle_commits(events, window_seconds=150)] == [
+        {"Main.java"}, {"Main.java", "Side.java"}
+    ]
+
+
 def test_parse_honors_extension_filter():
     events = parse_git_log(SIMPLE_LOG, extension=".txt")
     assert [e.filename for e in events] == ["notes.txt"]

@@ -1,24 +1,17 @@
 """Every import in the package's modules is used, apart from the names the benchmark tracer wraps."""
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-_ROOT = Path(__file__).resolve().parents[1]
-_PACKAGE = _ROOT / "src" / "monosplit"
-_TRACING = _ROOT / "benchmark" / "tracing.py"
+from conftest import load_tracing
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "monosplit"
 # __init__.py imports the package's public names in order to re-export them
 MODULES = sorted(path.name for path in _PACKAGE.glob("*.py") if path.name != "__init__.py")
-
-
-def _traced_names(module: str) -> set[str]:
-    """The names benchmark/tracing.py wraps in one module (`Class.method` counts as `Class`)."""
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return {attribute.split(".")[0] for name, attribute, *_ in tracing.TARGETS if name == module}
+# the (module, name) pairs benchmark/tracing.py wraps; `Class.method` counts as `Class`
+TRACED = {(module, attribute.split(".")[0]) for module, attribute, *_ in load_tracing().TARGETS}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,5 +36,5 @@ def test_unused_imports_finds_what_nothing_reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     unused = unused_imports((_PACKAGE / module).read_text(encoding="utf-8"))
-    traced = _traced_names("monosplit." + module.removesuffix(".py"))
-    assert [name for name in unused if name not in traced] == []
+    qualified = "monosplit." + module.removesuffix(".py")
+    assert [name for name in unused if (qualified, name) not in TRACED] == []

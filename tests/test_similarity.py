@@ -273,7 +273,11 @@ def test_map_prefers_shortest_path():
 
 
 def test_map_by_name_less_its_last_extension(caplog):
-    """The history's own extension decides: no extension is passed in."""
+    """The history's own extension decides: no extension is passed in.
+
+    Only the last extension goes, so in a history mined with `--ext .test.kt`
+    entity `B` maps to no file.
+    """
     history = commits_to_history([("x", {"src/A.kt", "src/B.test.kt", "README"})])
     with caplog.at_level("WARNING", logger="monosplit"):
         mapping = map_entities_to_files(["A", "B", "B.test", "README"], history)

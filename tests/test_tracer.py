@@ -1,14 +1,12 @@
 """The benchmark's tracer finds every name it wraps; its counters match a real `mine` and `sweep`."""
 
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
 import monosplit.cli as cli
-from conftest import DATA, log_fixture
+from conftest import DATA, load_tracing, log_fixture
 from monosplit import (
     agglomerate,
     build_similarity_matrix,
@@ -25,19 +23,8 @@ from monosplit.clustering import cuts
 from monosplit.history import drop_oversized_commits
 from synth import commits_to_history, random_commits, random_traces, to_model, traces_json
 
-_TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
-
-
-def _tracing():
-    """benchmark/tracing.py, loaded from its file under a name of its own."""
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_tracer_finds_every_name_it_wraps():
-    assert _tracing().Tracer().not_measured == []
+    assert load_tracing().Tracer().not_measured == []
 
 
 @pytest.mark.parametrize(
@@ -45,7 +32,7 @@ def test_the_tracer_finds_every_name_it_wraps():
 )
 def test_traced_mine_counts_what_was_mined(tmp_path, name):
     out = tmp_path / "history.json"
-    tracer = _tracing().Tracer()
+    tracer = load_tracing().Tracer()
     tracer.install()
     try:
         assert cli.main(["mine", str(DATA / name), "--out", str(out)]) == 0
@@ -73,7 +60,7 @@ def test_traced_sweep_counts_what_was_swept(tmp_path):
     history_path = tmp_path / "history.json"
     history_path.write_text(history.serialize())
     out = tmp_path / "results.csv"
-    tracer = _tracing().Tracer()
+    tracer = load_tracing().Tracer()
     tracer.install()
     try:
         assert cli.main(
