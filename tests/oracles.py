@@ -2,8 +2,9 @@
 
 Everything here shares no code with the package internals, and most of it
 works on plain dicts/lists with naive loops.  The exceptions are the package's
-former code, kept to referee its replacement bit for bit: `scan_upgma`, the
-former numpy clustering kernel, the former per-cluster and per-partition
+former code, kept to referee its replacement bit for bit: `git_log_events`,
+the former regex-per-line log parser, `scan_upgma`, the former numpy
+clustering kernel, the former per-cluster and per-partition
 scoring (`cluster_terms`, `evaluate`), the former counting loop of the history
 (`history_counts`), and the former dict-walking history loader and history
 measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
@@ -13,6 +14,7 @@ lists of (author, set_of_files).
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -218,6 +220,71 @@ def welch_measure(sample_a, sample_b):
         (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
     )
     return t, df, student_upper_tail(t, df)
+
+
+_STATUS = re.compile(r"^([A-Z])(\d*)$")
+
+
+def git_log_events(text, extension=".java"):
+    """The package's former log parser, which ran a regex on every change line.
+
+    Verbatim but for three edits: it raises ValueError where the package raises
+    GitLogError, it returns each event as the tuple (commit hash, timestamp,
+    author, status, filename, previous filename), and it follows the package's
+    later rules: a rename whose new path lacks the extension deletes the old
+    path when that one has it, and a score of more digits than `int` reads
+    from a string is a similarity out of range.
+    """
+    events = []
+    current = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("commit\t"):
+            parts = line.split("\t")
+            if len(parts) != 4 or not all(parts[1:]):
+                raise ValueError(f"line {lineno}: malformed commit header: {line!r}")
+            try:
+                timestamp = int(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad timestamp: {parts[2]!r}") from None
+            current = (parts[1], timestamp, parts[3].lower())
+            continue
+        if current is None:
+            raise ValueError(f"line {lineno}: file change before any commit header")
+        parts = line.split("\t")
+        match = _STATUS.match(parts[0])
+        if not match:
+            raise ValueError(f"line {lineno}: malformed status token: {parts[0]!r}")
+        letter, digits = match.groups()
+        if letter == "R":
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: rename needs old and new path")
+            if not digits:
+                raise ValueError(f"line {lineno}: rename without similarity score")
+            try:
+                similarity = int(digits)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: rename similarity out of range: {len(digits)} digits"
+                ) from None
+            if not 50 <= similarity <= 100:
+                raise ValueError(f"line {lineno}: rename similarity out of range: {similarity}")
+            if parts[2].endswith(extension):
+                events.append((*current, "R", parts[2], parts[1]))
+            elif parts[1].endswith(extension):
+                events.append((*current, "D", parts[1], None))
+        elif letter in ("A", "D", "M"):
+            if digits:
+                raise ValueError(f"line {lineno}: unexpected score on {letter} status")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected exactly one path")
+            if not parts[1].endswith(extension):
+                continue
+            events.append((*current, letter, parts[1], None))
+        else:
+            raise ValueError(f"line {lineno}: unknown status letter: {letter!r}")
+    return events
 
 
 def dead_files(events):

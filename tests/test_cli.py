@@ -22,8 +22,9 @@ from monosplit import (
     read_git_log,
     write_results_csv,
 )
-from conftest import DATA
+from conftest import DATA, EPOCH
 from monosplit.cli import build_parser, main
+from monosplit.history import GIT_LOG_ARGS
 from monosplit.sweep import CSV_COLUMNS
 
 
@@ -180,6 +181,64 @@ def test_mine_repository_and_saved_log_agree(fixture_repo, tmp_path):
     from_log = tmp_path / "from_log.json"
     assert main(["mine", str(log_path), "--out", str(from_log)]) == 0
     assert from_repo.read_text() == from_log.read_text()
+
+
+@pytest.fixture(scope="module")
+def long_repo(tmp_path_factory):
+    """400 commits written by `git fast-import`: a log of about 40 KB, many of git's blocks."""
+    repo = tmp_path_factory.mktemp("long_repo")
+    stream = []
+    for i in range(400):
+        body = f"class Module{i % 50} {{}} // {i}\n"
+        stream += [
+            "commit refs/heads/main",
+            f"author Dev <dev{i % 3}@example.com> {EPOCH + 60 * i} +0000",
+            f"committer Dev <dev{i % 3}@example.com> {EPOCH + 60 * i} +0000",
+            "data 0",
+            f"M 644 inline src/pkg{i % 7}/Module{i % 50}.java",
+            f"data {len(body)}",
+            body,
+        ]
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "init.defaultBranch=main", "init", "-q"], check=True
+    )
+    subprocess.run(
+        ["git", "-C", str(repo), "fast-import", "--quiet"],
+        input="\n".join(stream).encode(),
+        check=True,
+        capture_output=True,
+    )
+    return repo
+
+
+@pytest.mark.parametrize("repo_fixture", ["fixture_repo", "long_repo"])
+def test_buffered_git_output_keeps_every_byte(repo_fixture, request):
+    """git run with GIT_FLUSH=0 prints what it prints when it flushes after every commit."""
+    repo = str(request.getfixturevalue(repo_fixture))
+    flushed = subprocess.run(
+        ["git", "-C", repo, *GIT_LOG_ARGS],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "GIT_FLUSH": "1"},
+    )
+    assert read_git_log(repo) == flushed.stdout.decode(errors="surrogateescape")
+
+
+def test_git_sees_the_callers_environment(tmp_path, monkeypatch):
+    """Only GIT_FLUSH is set for git: a configuration the caller puts in the environment applies."""
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "Café.java").write_text("class Cafe {}\n", encoding="utf-8")
+    identity = ["-c", "user.name=Dev", "-c", "user.email=dev@example.com"]
+    for args in (["init", "-q"], ["add", "."], [*identity, "commit", "-qm", "cafe"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    assert 'A\t"Caf\\303\\251.java"' in read_git_log(str(repo))
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", "core.quotePath")
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "false")
+    assert "A\tCafé.java" in read_git_log(str(repo))
 
 
 def test_mine_is_deterministic(fixture_repo, tmp_path):

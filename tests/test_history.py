@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,24 +110,130 @@ def test_parse_honors_extension_filter():
     assert [e.filename for e in events] == ["notes.txt"]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "commit\tabc\t100\n",  # missing author
-        "commit\tabc\tnope\tdev@example.com\n",  # bad timestamp
-        "A\tX.java\n",  # file line before header
-        "commit\tabc\t100\tdev@example.com\nT\tX.java\n",  # unknown status
-        "commit\tabc\t100\tdev@example.com\nC055\tX.java\tY.java\n",  # unknown status
-        "commit\tabc\t100\tdev@example.com\nM100\tX.java\n",  # score on modify
-        "commit\tabc\t100\tdev@example.com\nR\tX.java\tY.java\n",  # rename without score
-        "commit\tabc\t100\tdev@example.com\nR030\tX.java\tY.java\n",  # score too low
-        "commit\tabc\t100\tdev@example.com\nR100\tX.java\n",  # rename missing new path
-        "commit\tabc\t100\tdev@example.com\nA\tX.java\tY.java\n",  # extra path
-    ],
-)
+_HEADER = "commit\tabc\t100\tdev@example.com\n"
+
+
+# each text and its message; the text is the test's id
+_PARSE_ERRORS = {
+    "commit\tabc\t100\n": "line 1: malformed commit header: 'commit\\tabc\\t100'",
+    "commit\tabc\tnope\tdev@example.com\n": "line 1: bad timestamp: 'nope'",
+    "A\tX.java\n": "line 1: file change before any commit header",
+    "M\tX.java\n" + _HEADER: "line 1: file change before any commit header",
+    _HEADER + "T\tX.java\n": "line 2: unknown status letter: 'T'",
+    _HEADER + "C055\tX.java\tY.java\n": "line 2: unknown status letter: 'C'",
+    _HEADER + "M100\tX.java\n": "line 2: unexpected score on M status",
+    _HEADER + "R\tX.java\tY.java\n": "line 2: rename without similarity score",
+    _HEADER + "R030\tX.java\tY.java\n": "line 2: rename similarity out of range: 30",
+    _HEADER + "R100\tX.java\n": "line 2: rename needs old and new path",
+    _HEADER + "A\tX.java\tY.java\n": "line 2: expected exactly one path",
+    _HEADER + "A\tX.java\t\n": "line 2: expected exactly one path",
+    _HEADER + "D\n": "line 2: expected exactly one path",
+    _HEADER + "m\tX.java\n": "line 2: malformed status token: 'm'",
+    _HEADER + "AD\tX.java\n": "line 2: malformed status token: 'AD'",
+    _HEADER + "\n \t\nM\tX.java\tY.java\n": "line 4: expected exactly one path",
+}
+
+
+@pytest.mark.parametrize("text", list(_PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(GitLogError):
+    with pytest.raises(GitLogError) as info:
         parse_git_log(text)
+    assert str(info.value) == _PARSE_ERRORS[text]
+
+
+def test_rename_score_past_the_digit_limit_of_int_is_out_of_range():
+    """`int` reads at most 4300 digits from a string; a longer score raised a bare ValueError."""
+    with pytest.raises(GitLogError) as info:
+        parse_git_log(_HEADER + "R" + "9" * 5000 + "\tX.java\tY.java\n")
+    assert str(info.value) == "line 2: rename similarity out of range: 5000 digits"
+
+
+# the same change logged with and without rename detection: X.java leaves the extension
+RENAMED_OUT = (
+    "commit\tc1\t1000\tdev@example.com\nA\tX.java\nA\tY.java\n\n"
+    "commit\tc2\t9000\tdev@example.com\nR100\tX.java\tX.kt\nM\tY.java\n"
+)
+DELETED_AND_ADDED = (
+    "commit\tc1\t1000\tdev@example.com\nA\tX.java\nA\tY.java\n\n"
+    "commit\tc2\t9000\tdev@example.com\nD\tX.java\nA\tX.kt\nM\tY.java\n"
+)
+
+
+def test_rename_out_of_the_extension_deletes_the_old_path():
+    assert parse_git_log(RENAMED_OUT)[2] == ("c2", 9000, "dev@example.com", DELETE, "X.java", None)
+    text = mine_history(RENAMED_OUT).serialize()
+    assert text == mine_history(DELETED_AND_ADDED).serialize()
+    assert json.loads(text)["fileChanges"] == {"Y.java": {"count": 2, "with": {}}}
+
+
+# pieces of change lines: git's own forms, and forms git never writes
+_STATUS_TOKENS = st.sampled_from(
+    ["A", "D", "M", "R100", "R087", "R050", "R049", "R101", "R0100", "R", "M100", "A1", "T",
+     "C055", "U", "m", "r100", "AD", "", " ", "A ", " M", "commit", "R٥٠", "R１００", "M٣",
+     "R" + "9" * 5000]
+)
+_PATHS = st.sampled_from(["X.java", "src/Y.java", "Z.kt", "X.java.kt", "Café.java", "", " "])
+# each breaks its line in two or adds a tab
+_ODD_PATHS = st.sampled_from(["a\rb.java", "a\x1cb.java", "x\x1c", "\r", "q.java\t", "A\tB.java"])
+_HEADERS = st.builds(
+    "commit\t{}\t{}\t{}".format,
+    st.sampled_from(["h1", "h2", "h3"]),
+    st.sampled_from(["100", "5000", "4000"]),
+    st.sampled_from(["Dev@Example.COM", "b@x"]),
+)
+_BAD_HEADERS = st.builds(
+    lambda fields: "\t".join(["commit", *fields]),
+    st.lists(
+        st.sampled_from(["h1", "", "100", "١٢٣", "+5", " 7 ", "1_0", "nope", "9" * 5000, "a@x"]),
+        max_size=4,
+    ),
+)
+_CHANGES = st.one_of(
+    st.builds("{}\t{}".format, st.sampled_from("ADM"), _PATHS),
+    st.builds("{}\t{}\t{}".format, st.sampled_from(["R100", "R087", "R050"]), _PATHS, _PATHS),
+)
+_BAD_CHANGES = st.builds(
+    lambda token, paths: "\t".join([token, *paths]),
+    _STATUS_TOKENS,
+    st.lists(_PATHS | _ODD_PATHS, max_size=3),
+)
+_BLANK = st.sampled_from(["", " ", "\t", "\t\t", "　", "\x0c"])
+
+
+@st.composite
+def git_logs(draw):
+    """Valid commits, then up to three corrupted lines put anywhere among them."""
+    lines = []
+    for header, changes in draw(st.lists(st.tuples(_HEADERS, st.lists(_CHANGES, max_size=4)))):
+        lines += [header, *changes, ""]
+    for line in draw(st.lists(st.one_of(_BAD_HEADERS, _BAD_CHANGES, _BLANK), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+def _check_against_the_former_parser(text, extension=".java"):
+    try:
+        expected = oracles.git_log_events(text, extension)
+    except ValueError as exc:
+        with pytest.raises(GitLogError) as info:
+            parse_git_log(text, extension)
+        assert str(info.value) == str(exc)
+        return
+    assert [tuple(e) for e in parse_git_log(text, extension)] == expected
+
+
+@given(git_logs(), st.sampled_from([".java", ".kt", ""]))
+@example(RENAMED_OUT, ".java")
+@settings(max_examples=400, deadline=None)
+def test_parse_equals_the_former_parser(text, extension):
+    _check_against_the_former_parser(text, extension)
+
+
+@given(st.text() | st.text(alphabet="ADMRcommit\t\n\r\x1c 05٥.java"))
+@example("commit\th\t1\ta\nR" + "9" * 5000 + "\tX.java\tY.java")
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_text_raises_only_git_log_errors(text):
+    _check_against_the_former_parser(text)
 
 
 def _event(hash_, ts, status, filename, previous=None, author="dev@example.com"):
@@ -572,7 +677,7 @@ def test_pipeline_invariants_on_random_streams(events):
 @settings(max_examples=80, deadline=None)
 def test_prune_drops_exactly_the_dead_files(events, tick, shuffled, rng):
     # coarser clocks put deletes and other changes of one file at equal timestamps
-    events = [replace(e, timestamp=e.timestamp // tick) for e in events]
+    events = [e._replace(timestamp=e.timestamp // tick) for e in events]
     if shuffled:
         rng.shuffle(events)
     dead = oracles.dead_files([(e.filename, e.status, e.timestamp) for e in events])
