@@ -167,7 +167,9 @@ def test_sweep_csv_is_byte_identical(seed, n_entities, n_functionalities):
 # sweep-wide shape (8 functionalities of 22 accesses), were taken before the
 # matrix CSV formatted each distinct value once and `agglomerate` moved to the
 # slot kernel; (100, 0, 0, 0, 0, 0) blends to three distinct values there, so
-# nearly every merge is a tie.
+# nearly every merge is a tie.  The 160-entity pins of (50, 0, 0, 0, 50, 0)
+# and (0, 0, 0, 0, 0, 100) were taken while every measure was still computed
+# whatever its weight, so they hold the zero-weight skip to the full blend.
 DECOMPOSE_SHA256 = {
     (24, (0, 0, 0, 100, 0, 0)): (
         "3f6a673f9cb4521fb5e70783f0209cdbb168370103bda41729b7d1a4db89a8f3",
@@ -181,9 +183,17 @@ DECOMPOSE_SHA256 = {
         "ffce553a372a88a0af6d71c454a6eb72263bebf2ec34526e30a05f4503c3ad57",
         "61c7bd86cb6e0e9d8fa3927f3315fa4cd9d02a7694086342db3b6826249973fe",
     ),
+    (160, (50, 0, 0, 0, 50, 0)): (
+        "0dbd40f1dec6d2d879b6dfcf2d61d1d406e6ee15c603ae2991fb7224cdfc788d",
+        "5e37813caf59e231c94bc1d737addae90040b0342ba5edd57bf23aab2bf62e18",
+    ),
     (160, (100, 0, 0, 0, 0, 0)): (
         "316a028013f64c65ac8de1589cd85caab9d189f41fa71c01e233755b1cc0f10e",
         "92b847d4ecaccbc20e8badc3b7a89c92881694c7e49f5da8c6da209b57d22e55",
+    ),
+    (160, (0, 0, 0, 0, 0, 100)): (
+        "3c75526a7d8a97702a71977d01846b9f9d7f46b2095d9fbbecde828a898216a1",
+        "10c6e147cd22afe6ab336b947203b4bf18adb183a9edc69471425f45bed443a2",
     ),
     (160, (20, 15, 15, 10, 20, 20)): (
         "79e34fdccf81439059a4277888f45698705ab72974cfac53b0b751499f3c843b",
