@@ -69,7 +69,7 @@ def agglomerate(dissimilarity: np.ndarray) -> Dendrogram:
 
 
 def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
-    """UPGMA that takes every live row's minimum at every merge, on a shrinking slot prefix.
+    """UPGMA that takes every live cluster's minimum at every merge, on a shrinking slot prefix.
 
     Before merge step s the m = n - s live clusters sit in slots 0 .. m-1,
     and `ids` maps slot to cluster id; the step reads and writes only that
@@ -81,9 +81,15 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
     cluster; the smallest id at that distance in its row is the second.
     That is the pair with the smallest (min id, max id), without listing the
     ties, and it is read through `ids` whatever slots the clusters sit in.
+
+    A cluster's minimum is taken down its column, which numpy reduces a whole
+    row of the C-ordered prefix at a time.  The prefix is exactly symmetric,
+    since every merge writes a row and its column alike, so each column holds
+    its row's values and their minimum is the row minimum, bit for bit.
     """
     n = matrix.shape[0]
-    work = matrix.copy()
+    # -0.0 becomes 0.0, so that each minimum is one bit pattern whatever order it is taken in
+    work = matrix + 0.0
     np.fill_diagonal(work, np.inf)
     ids = np.arange(n)
     sizes = [1] * n
@@ -93,7 +99,7 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
     for step in range(n - 1):
         last = n - 1 - step  # the last live slot; after this merge, slots 0 .. last-1 are live
         live, live_ids = work[: last + 1, : last + 1], ids[: last + 1]
-        live_lowest = live.min(axis=1, out=lowest[: last + 1])
+        live_lowest = live.min(axis=0, out=lowest[: last + 1])
         height = live_lowest.min()
         first = int(np.where(live_lowest == height, live_ids, no_id).argmin())
         row = live[first]

@@ -24,6 +24,7 @@ RENAME = "R"
 # header: commit<TAB><hash><TAB><unix time><TAB><author email>
 GIT_LOG_ARGS = [
     "log",
+    "--root",
     "--reverse",
     "--topo-order",
     "--name-status",
@@ -91,11 +92,15 @@ def parse_git_log(text: str, extension: str = ".java") -> list[ChangeEvent]:
     Events come back in log order, oldest commit first as `GIT_LOG_ARGS` prints
     them; commit times do not reorder them.  A rename out of the extension is
     a delete of the old path, as git would log it without rename detection.
+    A line ends at `\\n`, or at `\\r\\n` as in a log saved with CRLF line
+    ends.  The other characters at which `str.splitlines` breaks stay in their
+    line: git writes U+2028 raw in a path under `core.quotePath=false`.  A
+    commit time is ASCII digits.
     """
     events: list[ChangeEvent] = []
     commit_hash: str | None = None  # None before the first commit header
     timestamp, author = 0, ""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         parts = line.split("\t")
         letter = parts[0]
         # most lines: a plain A, D or M and one path, told apart with no regex
@@ -111,8 +116,11 @@ def parse_git_log(text: str, extension: str = ".java") -> list[ChangeEvent]:
             if len(parts) != 4 or not all(parts[1:]):
                 raise GitLogError(f"line {lineno}: malformed commit header: {line!r}")
             try:
+                # `int` also reads signs, spaces, underscores and other scripts' digits
+                if not (parts[2].isascii() and parts[2].isdigit()):
+                    raise ValueError
                 timestamp = int(parts[2])
-            except ValueError:
+            except ValueError:  # also more digits than `int` reads from a string
                 raise GitLogError(f"line {lineno}: bad timestamp: {parts[2]!r}") from None
             commit_hash, author = parts[1], parts[3].lower()
             continue

@@ -127,26 +127,32 @@ def measure_matrices(
     model: AccessModel,
     history: DevelopmentHistory,
     entity_files: dict[str, str | None],
-    include_history: bool = True,
+    weights: Weights | None = None,
 ) -> np.ndarray:
     """The six per-measure matrices over the model's sorted entities, stacked in MEASURE_NAMES order.
 
-    With include_history=False the commit and author matrices are zero, and
-    the history and the mapping are not read.  Otherwise the mapping holds
-    every entity (KeyError if not), and a file absent from the history reads
-    as no file.
+    Given weights, only the measures of nonzero weight are computed; the others
+    stay zero matrices.  `blend` adds 0 * 0 = +0.0 for each where it would add
+    0 * m = +0.0, so the blend keeps every bit.  With commit and author weights
+    of 0, the history and the mapping are not read.  Where a history measure is
+    computed, the mapping holds every entity (KeyError if not), and a file
+    absent from the history reads as no file.
     """
     entities = model.entities
     n = len(entities)
+    measures = (
+        lambda: _mode_matrix(model.touch),
+        lambda: _mode_matrix(model.read),
+        lambda: _mode_matrix(model.write),
+        lambda: _sequence_matrix(model.steps),
+        lambda: _commit_matrix(entities, history, entity_files),
+        lambda: _author_matrix(entities, history, entity_files),
+    )
+    wanted = weights.as_tuple() if weights is not None else (1,) * len(MEASURE_NAMES)
     stack = np.zeros((len(MEASURE_NAMES), n, n))
-    stack[0] = _mode_matrix(model.touch)
-    stack[1] = _mode_matrix(model.read)
-    stack[2] = _mode_matrix(model.write)
-    stack[3] = _sequence_matrix(model.steps)
-    if not include_history:
-        return stack
-    stack[4] = _commit_matrix(entities, history, entity_files)
-    stack[5] = _author_matrix(entities, history, entity_files)
+    for index, (weight, measure) in enumerate(zip(wanted, measures)):
+        if weight:
+            stack[index] = measure()
     return stack
 
 
@@ -175,20 +181,29 @@ class SimilarityMatrix:
         """Header row of entities, then one row per entity with its cells to six decimals.
 
         Entity names are quoted as csv.writer quotes them, so a name holding a
-        comma, a quote or a line break stays one cell.
+        comma, a quote or a line break stays one cell; a name holding none of
+        `,`, `"`, `\\r` and `\\n` is written as it is.
 
         Blended matrices hold few distinct values, so each distinct float64 bit
-        pattern is formatted once and the rows are joined from the looked-up
-        strings.  Keying on bits, not on float equality, keeps -0.0 apart from
-        0.0, so every cell reads as its own `f"{v:.6f}"`.
+        pattern is formatted once: one sort finds the patterns, a binary search
+        finds each cell's, and the rows are joined from the looked-up strings.
+        Keying on bits, not on float equality, keeps -0.0 apart from 0.0, so
+        every cell reads as its own `f"{v:.6f}"`.
         """
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        cells = values.view(np.uint64).ravel()
+        bits = np.sort(cells)
+        first = np.ones(bits.shape, dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        bits = bits[first]
         text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
-        cells = text[inverse.reshape(values.shape)].tolist()
-        names = [csv_cell(entity) for entity in self.entities]
+        rows = text[np.searchsorted(bits, cells).reshape(values.shape)].tolist()
+        names = [
+            csv_cell(name) if "," in name or '"' in name or "\r" in name or "\n" in name else name
+            for name in self.entities
+        ]
         lines = ["entity," + ",".join(names)]
-        lines.extend(name + "," + ",".join(row) for name, row in zip(names, cells))
+        lines.extend(name + "," + ",".join(row) for name, row in zip(names, rows))
         return "\n".join(lines) + "\n"
 
 
@@ -201,6 +216,5 @@ def build_similarity_matrix(
     """Blend the six measures into one similarity matrix over sorted entities."""
     if not model.entities:
         raise SimilarityError("model has no entities")
-    include_history = weights.commit + weights.author > 0
-    stack = measure_matrices(model, history, entity_files, include_history=include_history)
+    stack = measure_matrices(model, history, entity_files, weights)
     return SimilarityMatrix(model.entities, blend(stack, weights))

@@ -179,7 +179,7 @@ def run_sweep(
         raise SweepError(f"parallelism must be at least 1, got {parallelism}")
     counts = cluster_counts(len(model.entities))
     weight_vectors = enumerate_weights(step)
-    stack = measure_matrices(model, history, entity_files, include_history=True)
+    stack = measure_matrices(model, history, entity_files)
     scorer = Scorer(model, history.entity_authors([entity_files[e] for e in model.entities]))
     if not scorer.n_authors:
         dropped = len(weight_vectors) * len(counts)

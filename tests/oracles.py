@@ -228,22 +228,25 @@ _STATUS = re.compile(r"^([A-Z])(\d*)$")
 def git_log_events(text, extension=".java"):
     """The package's former log parser, which ran a regex on every change line.
 
-    Verbatim but for three edits: it raises ValueError where the package raises
+    Verbatim but for these edits: it raises ValueError where the package raises
     GitLogError, it returns each event as the tuple (commit hash, timestamp,
     author, status, filename, previous filename), and it follows the package's
     later rules: a rename whose new path lacks the extension deletes the old
-    path when that one has it, and a score of more digits than `int` reads
-    from a string is a similarity out of range.
+    path when that one has it, a score of more digits than `int` reads from a
+    string is a similarity out of range, lines end at `\\n` or `\\r\\n` only,
+    and a commit time is ASCII digits.
     """
     events = []
     current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("commit\t"):
             parts = line.split("\t")
             if len(parts) != 4 or not all(parts[1:]):
                 raise ValueError(f"line {lineno}: malformed commit header: {line!r}")
+            if not re.fullmatch("[0-9]+", parts[2]):
+                raise ValueError(f"line {lineno}: bad timestamp: {parts[2]!r}")
             try:
                 timestamp = int(parts[2])
             except ValueError:

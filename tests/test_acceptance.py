@@ -165,7 +165,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
         model = to_model(traces)
         commits, files = random_commits(rng, model.entities)
         history = commits_to_history(commits)
-        stack = measure_matrices(model, history, files, include_history=True)
+        stack = measure_matrices(model, history, files)
         entities = model.entities
         for name, matrix in zip(MEASURE_NAMES, stack):
             for i, a in enumerate(entities):

@@ -224,21 +224,62 @@ def test_buffered_git_output_keeps_every_byte(repo_fixture, request):
     assert read_git_log(repo) == flushed.stdout.decode(errors="surrogateescape")
 
 
-def test_git_sees_the_callers_environment(tmp_path, monkeypatch):
-    """Only GIT_FLUSH is set for git: a configuration the caller puts in the environment applies."""
+def _git_config(monkeypatch, **settings):
+    """git reads only these settings, given through the environment, and no config file."""
     monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
     monkeypatch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
-    repo = tmp_path / "repo"
+    monkeypatch.setenv("GIT_CONFIG_COUNT", str(len(settings)))
+    for index, (key, value) in enumerate(settings.items()):
+        monkeypatch.setenv(f"GIT_CONFIG_KEY_{index}", key)
+        monkeypatch.setenv(f"GIT_CONFIG_VALUE_{index}", value)
+
+
+def _commit_files(repo, commits):
+    """A repository at `repo` with one commit per (message, file names) entry, in order.
+
+    A name is added if new, and else modified.
+    """
     repo.mkdir()
-    (repo / "Café.java").write_text("class Cafe {}\n", encoding="utf-8")
     identity = ["-c", "user.name=Dev", "-c", "user.email=dev@example.com"]
-    for args in (["init", "-q"], ["add", "."], [*identity, "commit", "-qm", "cafe"]):
-        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    subprocess.run(["git", "-C", str(repo), "init", "-q"], check=True, capture_output=True)
+    for message, names in commits:
+        for name in names:
+            path = repo / name
+            text = path.read_text(encoding="utf-8") + "//\n" if path.exists() else "class X {}\n"
+            path.write_text(text, encoding="utf-8")
+        for args in (["add", "."], [*identity, "commit", "-qm", message]):
+            subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+
+def test_git_sees_the_callers_environment(tmp_path, monkeypatch):
+    """Only GIT_FLUSH is set for git: a configuration the caller puts in the environment applies."""
+    _git_config(monkeypatch)
+    repo = tmp_path / "repo"
+    _commit_files(repo, [("cafe", ["Café.java"])])
     assert 'A\t"Caf\\303\\251.java"' in read_git_log(str(repo))
-    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
-    monkeypatch.setenv("GIT_CONFIG_KEY_0", "core.quotePath")
-    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "false")
+    _git_config(monkeypatch, **{"core.quotePath": "false"})
     assert "A\tCafé.java" in read_git_log(str(repo))
+
+
+def test_mine_keeps_the_root_commits_files_under_log_show_root_false(tmp_path, monkeypatch):
+    """`log.showRoot=false` would drop the root commit's file list; `--root` keeps it."""
+    _git_config(monkeypatch)
+    repo = tmp_path / "repo"
+    _commit_files(repo, [("root", ["Root.java", "A.java"]), ("second", ["A.java", "B.java"])])
+    default = _mine(repo, tmp_path, "default.json").read_text()
+    _git_config(monkeypatch, **{"log.showRoot": "false"})
+    assert _mine(repo, tmp_path, "no_root.json").read_text() == default
+    assert DevelopmentHistory.parse(default).files() == ["A.java", "B.java", "Root.java"]
+
+
+def test_mine_repository_with_a_line_separator_in_a_name(tmp_path, monkeypatch):
+    """Under core.quotePath = false git prints U+2028 as it is; the name stays one file."""
+    _git_config(monkeypatch, **{"core.quotePath": "false"})
+    repo = tmp_path / "repo"
+    _commit_files(repo, [("one", ["a\u2028b.java", "C.java"])])
+    assert "A\ta\u2028b.java\n" in read_git_log(str(repo))
+    history = DevelopmentHistory.parse(_mine(repo, tmp_path).read_text(encoding="ascii"))
+    assert history.files() == ["C.java", "a\u2028b.java"]
 
 
 def test_mine_is_deterministic(fixture_repo, tmp_path):

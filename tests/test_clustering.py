@@ -138,6 +138,15 @@ def test_agglomerate_rejects_bad_input(matrix, message):
         agglomerate(matrix)
 
 
+@pytest.mark.parametrize("upper, lower", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_a_negative_zero_distance_merges_at_positive_zero(upper, lower):
+    """-0.0 passes the symmetry check beside 0.0; either way the height has one bit pattern."""
+    matrix = _square([[0.0, upper, 0.5], [lower, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    dendrogram = agglomerate(matrix)
+    assert _merge_triples(dendrogram) == [(0, 1, 0.0), (2, 3, 0.5)]
+    assert np.signbit(dendrogram.height).tolist() == [False, False]
+
+
 def test_agglomerate_is_deterministic():
     rng = random.Random(11)
     matrix = _random_symmetric(rng, 8)
@@ -231,7 +240,7 @@ def test_slot_kernel_matches_full_scan_on_step_20_grid():
     rng = random.Random(25)
     model = to_model(random_traces(rng, 25, 10, max_extra=12))
     commits, files = random_commits(rng, model.entities, extra_commits=4 * 25)
-    stack = measure_matrices(model, commits_to_history(commits), files, include_history=True)
+    stack = measure_matrices(model, commits_to_history(commits), files)
     mismatched = []
     for weights in enumerate_weights(20):
         matrix = to_dissimilarity(blend(stack, weights))

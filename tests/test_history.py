@@ -131,6 +131,11 @@ _PARSE_ERRORS = {
     _HEADER + "m\tX.java\n": "line 2: malformed status token: 'm'",
     _HEADER + "AD\tX.java\n": "line 2: malformed status token: 'AD'",
     _HEADER + "\n \t\nM\tX.java\tY.java\n": "line 4: expected exactly one path",
+    # `int` reads each of these; git writes a commit time in ASCII digits alone
+    "commit\tabc\t 7 \tdev@example.com\n": "line 1: bad timestamp: ' 7 '",
+    "commit\tabc\t+5\tdev@example.com\n": "line 1: bad timestamp: '+5'",
+    "commit\tabc\t1_0\tdev@example.com\n": "line 1: bad timestamp: '1_0'",
+    "commit\tabc\t١٢٣\tdev@example.com\n": "line 1: bad timestamp: '١٢٣'",
 }
 
 
@@ -146,6 +151,20 @@ def test_rename_score_past_the_digit_limit_of_int_is_out_of_range():
     with pytest.raises(GitLogError) as info:
         parse_git_log(_HEADER + "R" + "9" * 5000 + "\tX.java\tY.java\n")
     assert str(info.value) == "line 2: rename similarity out of range: 5000 digits"
+
+
+@pytest.mark.parametrize(
+    "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_a_newline_ends_a_log_line(char):
+    """`str.splitlines` breaks at each of these; in a log they stay inside the path."""
+    name = f"a{char}b.java"
+    events = parse_git_log(f"commit\th1\t100\tdev@example.com\nA\t{name}\nM\tc.java\n")
+    assert [(e.status, e.filename) for e in events] == [(ADD, name), (MODIFY, "c.java")]
+
+
+def test_a_log_saved_with_crlf_line_ends_parses_as_with_lf():
+    assert parse_git_log(SIMPLE_LOG.replace("\n", "\r\n")) == parse_git_log(SIMPLE_LOG)
 
 
 # the same change logged with and without rename detection: X.java leaves the extension
@@ -173,8 +192,10 @@ _STATUS_TOKENS = st.sampled_from(
      "R" + "9" * 5000]
 )
 _PATHS = st.sampled_from(["X.java", "src/Y.java", "Z.kt", "X.java.kt", "Café.java", "", " "])
-# each breaks its line in two or adds a tab
-_ODD_PATHS = st.sampled_from(["a\rb.java", "a\x1cb.java", "x\x1c", "\r", "q.java\t", "A\tB.java"])
+# each holds a character at which `str.splitlines` breaks, ends in a CR, or adds a tab
+_ODD_PATHS = st.sampled_from(
+    ["a\rb.java", "a\x1cb.java", "x\x1c", "\r", "a\u2028b.java", "\x85", "q.java\t", "A\tB.java"]
+)
 _HEADERS = st.builds(
     "commit\t{}\t{}\t{}".format,
     st.sampled_from(["h1", "h2", "h3"]),
@@ -229,7 +250,7 @@ def test_parse_equals_the_former_parser(text, extension):
     _check_against_the_former_parser(text, extension)
 
 
-@given(st.text() | st.text(alphabet="ADMRcommit\t\n\r\x1c 05٥.java"))
+@given(st.text() | st.text(alphabet="ADMRcommit\t\n\r\x1c\u2028 05٥.java"))
 @example("commit\th\t1\ta\nR" + "9" * 5000 + "\tX.java\tY.java")
 @settings(max_examples=400, deadline=None)
 def test_arbitrary_text_raises_only_git_log_errors(text):

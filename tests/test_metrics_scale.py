@@ -232,7 +232,7 @@ def test_slot_kernel_matches_full_scan_at_160_entities():
     so clusters move into freed slots on ties all along the merge sequence.
     """
     _, _, model, history, files = _benchmark_model(6, 160, 8, 22)
-    stack = measure_matrices(model, history, files, include_history=True)
+    stack = measure_matrices(model, history, files)
     mismatched, zero_heights = [], []
     for weights in enumerate_weights(50):
         matrix = to_dissimilarity(blend(stack, weights))

@@ -18,6 +18,7 @@ from monosplit import (
     SimilarityMatrix,
     Weights,
     build_similarity_matrix,
+    enumerate_weights,
     load_access_model,
     map_entities_to_files,
 )
@@ -45,6 +46,16 @@ THREE_SHARED = {
 }
 
 
+class Unreadable:
+    """A history or a mapping that fails on any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read [{key!r}]")
+
+
 def _model(traces):
     return load_access_model(json.dumps(traces))
 
@@ -52,12 +63,12 @@ def _model(traces):
 def _measure(model, name, entity_a, entity_b, history=None, entity_files=None):
     """One cell of a measure matrix, looked up by measure and entity names.
 
-    Without a history, the history measures are not computed.
+    Without a history, only the four trace measures are computed.
     """
-    include_history = history is not None
-    if not include_history:
-        history, entity_files = empty_history(), {}
-    stack = measure_matrices(model, history, entity_files, include_history=include_history)
+    if history is None:
+        stack = measure_matrices(model, Unreadable(), Unreadable(), Weights(25, 25, 25, 25, 0, 0))
+    else:
+        stack = measure_matrices(model, history, entity_files)
     i, j = model.entities.index(entity_a), model.entities.index(entity_b)
     return float(stack[MEASURE_NAMES.index(name)][i, j])
 
@@ -246,10 +257,55 @@ def test_missing_map_entry_with_history_weights_raises(small_history):
         build_similarity_matrix(model, small_history, {"A": "src/A.java"}, Weights(0, 0, 0, 0, 100, 0))
 
 
-def test_map_not_needed_without_history_weights():
-    model = _model({"f1": [["A", "R"], ["B", "W"]]})
-    matrix = build_similarity_matrix(model, empty_history(), {}, Weights(100, 0, 0, 0, 0, 0))
-    assert _at(matrix, "A", "B") == 1.0
+@pytest.mark.parametrize("weights", [(100, 0, 0, 0, 0, 0), (10, 20, 30, 40, 0, 0)])
+def test_history_and_map_not_read_without_history_weights(weights):
+    model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["C", "W"]]})
+    matrix = build_similarity_matrix(model, Unreadable(), Unreadable(), Weights(*weights))
+    full = measure_matrices(model, empty_history(), dict.fromkeys(model.entities))
+    assert _same_bits(matrix.values, blend(full, Weights(*weights)))
+    assert _at(matrix, "A", "B") > 0
+
+
+def test_each_history_measure_reads_the_history_only_when_weighted(small_history):
+    """Commit weight alone never asks for authors; author weight alone never for co-changes."""
+
+    class AuthorsOnly:
+        def __getattr__(self, name):
+            if name == "shared_commits":
+                raise AssertionError("read the co-changes")
+            return getattr(small_history, name)
+
+    class CoChangesOnly:
+        def __getattr__(self, name):
+            if name == "entity_authors":
+                raise AssertionError("read the authors")
+            return getattr(small_history, name)
+
+    model = _model(ABC)
+    full = measure_matrices(model, small_history, ABC_FILES)
+    cases = ((CoChangesOnly(), (50, 0, 0, 0, 50, 0)), (AuthorsOnly(), (0, 0, 0, 0, 0, 100)))
+    for history, weights in cases:
+        stack = measure_matrices(model, history, ABC_FILES, Weights(*weights))
+        for index, weight in enumerate(weights):
+            assert _same_bits(stack[index], full[index] if weight else np.zeros_like(full[index]))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 12),
+    st.lists(st.sampled_from(enumerate_weights(10)), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_weighted_measures_blend_as_the_full_stack(seed, n_entities, vectors):
+    """Leaving the measures of weight 0 at zero keeps every bit of the blend."""
+    rng = random.Random(seed)
+    model = to_model(random_traces(rng, n_entities))
+    commits, files = random_commits(rng, model.entities)
+    history = commits_to_history(commits)
+    full = measure_matrices(model, history, files)
+    for weights in vectors:
+        weighted = measure_matrices(model, history, files, weights)
+        assert _same_bits(blend(weighted, weights), blend(full, weights)), weights.as_tuple()
 
 
 def test_map_to_file_absent_from_history_reads_as_unmapped(small_history):
@@ -318,12 +374,19 @@ def test_matrix_csv_quotes_entity_names():
 
 
 def _per_cell_csv(matrix):
-    """The matrix CSV with one f-string per cell, the writer's reference."""
-    lines = ["entity," + ",".join(matrix.entities)]
-    for i, entity in enumerate(matrix.entities):
-        lines.append(entity + "," + ",".join(f"{v:.6f}" for v in matrix.values[i]))
-    return "\n".join(lines) + "\n"
+    """The matrix CSV that csv.writer writes with one f-string per cell, the writer's reference."""
+    if not matrix.entities:
+        return "entity,\n"  # the header of no names keeps its comma, as the writer always wrote it
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["entity", *matrix.entities])
+    for entity, row in zip(matrix.entities, matrix.values):
+        writer.writerow([entity, *(f"{v:.6f}" for v in row)])
+    return buffer.getvalue()
 
+
+# names of these characters, and the empty name; only `,`, `"`, CR and LF need quotes
+ENTITY_NAMES = st.text(alphabet=[",", '"', "\r", "\n", " ", "\u2028", "a", "Z"], max_size=5)
 
 SPECIAL_CELLS = [0.0, -0.0, 1.0, 5e-7, -5e-7, 5e-324, -5e-324, 2.2250738585072014e-308]
 SPECIAL_CELLS += [math.inf, -math.inf, math.nan]
@@ -353,10 +416,12 @@ def float_matrices(draw):
     return matrix.T if draw(st.booleans()) else matrix  # the writer must not rely on C order
 
 
-@settings(deadline=None, max_examples=200)
-@given(float_matrices())
-def test_matrix_csv_formats_every_cell_as_its_own_f_string(values):
-    matrix = SimilarityMatrix(tuple(f"E{i}" for i in range(len(values))), values)
+@settings(deadline=None, max_examples=300)
+@given(float_matrices(), st.lists(ENTITY_NAMES, min_size=8, max_size=8))
+@example(np.eye(8), ["", " ", "a,b", 'a"b', "\r", "\n", "\u2028", "plain"])
+def test_matrix_csv_formats_every_cell_as_its_own_f_string(values, names):
+    """... and writes every entity name as csv.writer does, quoted only where it must be."""
+    matrix = SimilarityMatrix(tuple(names[: len(values)]), values)
     assert matrix.to_csv() == _per_cell_csv(matrix)
 
 
