@@ -21,7 +21,8 @@ DELETE = "D"
 MODIFY = "M"
 RENAME = "R"
 
-# header: commit<TAB><hash><TAB><unix time><TAB><author email>
+# header: commit<TAB><hash><TAB><unix time><TAB><author email after .mailmap>;
+# -O/dev/null cancels a user's diff.orderFile, so a commit's files keep git's order
 GIT_LOG_ARGS = [
     "log",
     "--root",
@@ -29,7 +30,8 @@ GIT_LOG_ARGS = [
     "--topo-order",
     "--name-status",
     "--find-renames",
-    "--pretty=format:commit%x09%H%x09%ct%x09%ae",
+    "-O/dev/null",
+    "--pretty=format:commit%x09%H%x09%ct%x09%aE",
 ]
 
 _STATUS_RE = re.compile(r"^([A-Z])(\d*)$")
@@ -195,21 +197,13 @@ def resolve_renames(events: list[ChangeEvent]) -> list[ChangeEvent]:
 
 
 def prune_deleted(events: list[ChangeEvent]) -> list[ChangeEvent]:
-    """Drop files whose last delete is never followed by another change; drop all delete events.
+    """Drop files whose last event in log order is a delete; drop all delete events.
 
-    A change at the same timestamp as the last delete does not revive the file.
+    Commit times are not read: a change listed after the last delete revives
+    the file even where a skewed clock dates it earlier.
     """
-    last_delete: dict[str, int] = {}
-    last_change: dict[str, int] = {}
-    for _, timestamp, _, status, filename, _ in events:
-        latest = last_delete if status == DELETE else last_change
-        if latest.get(filename, timestamp) <= timestamp:
-            latest[filename] = timestamp
-    dead = {
-        filename
-        for filename, deleted_at in last_delete.items()
-        if last_change.get(filename, deleted_at) <= deleted_at
-    }
+    last_status = {filename: status for _, _, _, status, filename, _ in events}
+    dead = {filename for filename, status in last_status.items() if status == DELETE}
     return [e for e in events if e.status != DELETE and e.filename not in dead]
 
 

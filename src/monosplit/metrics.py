@@ -21,8 +21,10 @@ class Scorer:
     chunk, and keeps each one's `MetricsRecord`.  The terms that depend on
     one cluster alone are computed once per distinct mask and kept as a row
     of the cluster tables; a chunk reaches the metrics as a table of those
-    rows.  Sums run in cluster order, and coupling's in (i, j) order, so a
-    partition's record has the same bits whatever chunk it was scored in.
+    rows.  Each term is one correctly rounded quotient of exact counts, so no
+    term depends on the order of the functionalities or of the entities; a
+    partition's terms are summed in cluster order, so its record has the
+    same bits whatever chunk it was scored in.
     A pass that raises leaves the tables and records as they were.  One
     scorer is not shared between threads: its tables grow without a lock.
     """
@@ -31,7 +33,7 @@ class Scorer:
         """`authors` is the entity x author incidence, bool, a row per entity of the model."""
         self.n_entities = len(model.entities)
         self.n_functionalities = len(model.functionalities)
-        self.ceiling = max_complexity(model)
+        self.max_cost = _max_cost(model)
         self.n_authors = authors.shape[1]
         # Entity x (functionality, then author, then entity) incidence: true where
         # the functionality touches the entity, the author changed its file, or some
@@ -114,10 +116,9 @@ class Scorer:
             [self.n_functionalities, self.n_functionalities + self.n_authors],
             axis=1,
         )
-        # share of the cluster each touching functionality touches, in float64, summed
-        # one by one in model order (a functionality not touching it adds 0.0)
-        shares = np.cumsum(touching / sizes[:, None], axis=1)[:, -1]
-        cohesions = shares / np.count_nonzero(touching, axis=1)
+        # the mean share of the cluster its touching functionalities touch: one
+        # division of two exact integers
+        cohesions = touching.sum(axis=1) / (sizes * np.count_nonzero(touching, axis=1))
         author_counts = np.count_nonzero(authored, axis=1)
         reach = np.zeros_like(packed)
         reach[:, : -(-self.n_entities // 8)] = np.packbits(reached > 0, axis=1, bitorder="little")
@@ -158,18 +159,21 @@ def _cluster_counts(clusters: np.ndarray) -> np.ndarray:
 
 
 def max_complexity(model: AccessModel) -> float:
+    """Splitting cost per functionality of the all-singletons decomposition (see `_max_cost`)."""
+    return _max_cost(model) / len(model.functionalities) if model.functionalities else 0.0
+
+
+def _max_cost(model: AccessModel) -> int:
     """Splitting cost of the all-singletons decomposition, ignoring access modes.
 
     Here a functionality is distributed as soon as it touches two entities, and
     every distinct (entity, mode) access costs one per other distributed
     functionality touching that entity in any mode.
     """
-    if not model.functionalities:
-        return 0.0
     distributed = model.touch.sum(axis=1) >= 2
     touchers = model.touch[distributed].sum(axis=0)
     accesses = (model.read + model.write)[distributed].sum(axis=0)
-    return int(accesses @ (touchers - 1)) / len(model.functionalities)
+    return int(accesses @ (touchers - 1))
 
 
 def splitting_cost(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
@@ -188,10 +192,10 @@ def splitting_cost(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
 
 
 def uniform_complexity(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
-    """Splitting cost per functionality over the all-singletons worst case (0 when both are 0)."""
-    if scorer.ceiling == 0:
+    """Splitting cost over the all-singletons worst case (0 when both are 0)."""
+    if scorer.max_cost == 0:
         return np.zeros(clusters.shape[1])
-    return splitting_cost(scorer, clusters) / scorer.n_functionalities / scorer.ceiling
+    return splitting_cost(scorer, clusters) / scorer.max_cost
 
 
 def cohesion(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
@@ -208,16 +212,16 @@ def coupling(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     an entity of that cluster.
     """
     width, count = clusters.shape
-    # shares[i, j, p]: the members of cluster j some trace reaches straight from cluster
-    # i, counted word by word (exact integers in float64), then over the size of j
-    shares = np.zeros((width, width, count))
+    # exposed[i, j, p]: the members of cluster j some trace reaches straight from
+    # cluster i, counted word by word (exact integers in float64)
+    exposed = np.zeros((width, width, count))
     for reach, members in zip(scorer.reach, scorer.members):
-        shares += np.bitwise_count(reach[clusters][:, None] & members[clusters])
-    shares /= scorer.sizes[clusters]
-    # summed one by one in (i, j) order, in place; the pairs i = j and the padding add 0.0
-    shares[np.arange(width), np.arange(width)] = 0.0
-    sums = shares.reshape(width * width, count)
-    total = np.cumsum(sums, axis=0, out=sums)[-1]
+        exposed += np.bitwise_count(reach[clusters][:, None] & members[clusters])
+    exposed[np.arange(width), np.arange(width)] = 0.0
+    # each target's exact count from the other clusters over its size, these k
+    # terms summed one by one in cluster order; the padding adds 0.0
+    terms = exposed.sum(axis=0) / scorer.sizes[clusters]
+    total = np.cumsum(terms, axis=0)[-1]
     n = _cluster_counts(clusters)
     return total / np.maximum(n * (n - 1), 1)  # a single cluster: 0.0 over 1
 
@@ -227,7 +231,7 @@ def tsr(scorer: Scorer, clusters: np.ndarray) -> np.ndarray:
     if not scorer.n_authors:
         raise MetricsError("history has no authors")
     author_count_sums = scorer.author_counts[clusters].sum(axis=0)
-    return author_count_sums / _cluster_counts(clusters) / scorer.n_authors
+    return author_count_sums / (_cluster_counts(clusters) * scorer.n_authors)
 
 
 def combined_score(uniform_complexity_value, cohesion_value, coupling_value, tsr_value):

@@ -10,12 +10,19 @@ scoring (`cluster_terms`, `evaluate`), the former counting loop of the history
 measures (`history_from_json_dict`, `entity_authors`, `commit_matrix`,
 `author_matrix`).  Traces are dicts name -> [(entity, mode), ...]; commits are
 lists of (author, set_of_files).
+
+The metric referees compute each term of a partition exactly, as a
+`Fraction`, and round it once to a float: a cluster's cohesion, the exposure
+of one target cluster to all the others, tsr and uniform complexity.  Only
+the k cluster terms of cohesion and coupling are float sums, taken in
+cluster order, and then divided by their count.
 """
 
 import json
 import math
 import re
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -92,6 +99,11 @@ def _cluster_of(clusters):
 
 
 def complexity_measure(clusters, traces):
+    names = list(traces)
+    return _complexity_total(clusters, traces) / len(names) if names else 0.0
+
+
+def _complexity_total(clusters, traces):
     where = _cluster_of(clusters)
     names = list(traces)
 
@@ -109,10 +121,15 @@ def complexity_measure(clusters, traces):
                     continue
                 if (entity, opposite) in set(traces[other]):
                     total += 1
-    return total / len(names) if names else 0.0
+    return total
 
 
 def max_complexity_measure(traces):
+    names = list(traces)
+    return _max_complexity_total(traces) / len(names) if names else 0.0
+
+
+def _max_complexity_total(traces):
     names = list(traces)
 
     def is_distributed(name):
@@ -128,14 +145,14 @@ def max_complexity_measure(traces):
                     continue
                 if entity in {e for e, _ in traces[other]}:
                     total += 1
-    return total / len(names) if names else 0.0
+    return total
 
 
 def uniform_complexity_measure(clusters, traces):
-    ceiling = max_complexity_measure(traces)
+    ceiling = _max_complexity_total(traces)
     if ceiling == 0:
         return 0.0
-    return complexity_measure(clusters, traces) / ceiling
+    return float(Fraction(_complexity_total(clusters, traces), ceiling))
 
 
 def cohesion_measure(clusters, traces):
@@ -145,8 +162,8 @@ def cohesion_measure(clusters, traces):
         for steps in traces.values():
             touched = {e for e, _ in steps} & set(members)
             if touched:
-                shares.append(len(touched) / len(members))
-        total += sum(shares) / len(shares) if shares else 1.0
+                shares.append(Fraction(len(touched), len(members)))
+        total += float(sum(shares) / len(shares)) if shares else 1.0
     return total / len(clusters)
 
 
@@ -155,8 +172,9 @@ def coupling_measure(clusters, traces):
         return 0.0
     where = _cluster_of(clusters)
     total = 0.0
-    for i, _ in enumerate(clusters):
-        for j, members in enumerate(clusters):
+    for j, members in enumerate(clusters):
+        shares = Fraction(0)
+        for i, _ in enumerate(clusters):
             if i == j:
                 continue
             exposed = set()
@@ -164,7 +182,8 @@ def coupling_measure(clusters, traces):
                 for (e1, _), (e2, _) in zip(steps, steps[1:]):
                     if where[e1] == i and where[e2] == j and i != j:
                         exposed.add(e2)
-            total += len(exposed) / len(members)
+            shares += Fraction(len(exposed), len(members))
+        total += float(shares)
     return total / (len(clusters) * (len(clusters) - 1))
 
 
@@ -180,7 +199,7 @@ def tsr_measure(clusters, entity_files, file_authors):
             if filename is not None and filename in file_authors:
                 authors |= set(file_authors[filename])
         count_sum += len(authors)
-    return (count_sum / len(clusters)) / len(everyone)
+    return float(Fraction(count_sum, len(clusters) * len(everyone)))
 
 
 def combined_measure(uniform, cohesion, coupling, tsr):
@@ -291,14 +310,15 @@ def git_log_events(text, extension=".java"):
 
 
 def dead_files(events):
-    """Files a history drops: deleted, and never changed later than their last delete.
+    """Files a history drops: deleted, and never changed after their last delete in log order.
 
-    Events are (filename, status, timestamp) triples, status "D" for a delete.
+    Events are (filename, status) pairs in log order, status "D" for a delete.
     """
     dead = set()
-    for name in {f for f, _, _ in events}:
-        deletes = [t for f, s, t in events if f == name and s == "D"]
-        if deletes and not any(f == name and s != "D" and t > max(deletes) for f, s, t in events):
+    for name in {f for f, _ in events}:
+        positions = [i for i, (f, _) in enumerate(events) if f == name]
+        deletes = [i for i in positions if events[i][1] == "D"]
+        if deletes and not any(i > max(deletes) and events[i][1] != "D" for i in positions):
             dead.add(name)
     return dead
 
@@ -416,9 +436,10 @@ def history_counts(commits, max_files=100):
 def cluster_terms(model, authors, mask):
     """The package's former per-member scoring of one cluster, kept as a referee.
 
-    Verbatim but for three edits: the bit tables `Scorer.__init__` built once
+    Verbatim but for four edits: the bit tables `Scorer.__init__` built once
     per model are built here on each call, the step pairs are read off
-    `model.steps`, and a local `_members` stands in for `clustering.members`.
+    `model.steps`, a local `_members` stands in for `clustering.members`, and
+    the cohesion term is the exact mean share rounded once.
     Returns the scorer's terms of the cluster: (member mask, size, cohesion
     term, author count, mask of the functionalities touching it, mask of the
     entities its traces step to straight from it).
@@ -439,31 +460,33 @@ def cluster_terms(model, authors, mask):
         targets |= targets_of[i]
         author_bits |= authors_of[i]
     size = mask.bit_count()
-    # share of the cluster each touching functionality touches, in model order
-    shares = [(touching[f] & mask).bit_count() / size for f in _members(functionalities)]
-    return (mask, size, sum(shares) / len(shares), author_bits.bit_count(), functionalities, targets)
+    # the members of the cluster each touching functionality touches
+    touched = [(touching[f] & mask).bit_count() for f in _members(functionalities)]
+    cohesion = float(Fraction(sum(touched), size * len(touched)))
+    return (mask, size, cohesion, author_bits.bit_count(), functionalities, targets)
 
 
 def evaluate(model, authors, partition):
     """The package's former per-partition scoring of member masks, kept as a referee.
 
     The former `evaluate` with the metric functions it called inlined, in
-    their order and with their arithmetic, but for four edits: the scorer's
-    tables and the ceiling (`metrics.max_complexity`) are computed here on
-    each call, each cluster's terms come from `cluster_terms`, the splitting
-    cost is not memoized, and a metric domain error is returned as its
-    message instead of raised.
+    their order, but for five edits: the scorer's tables and the ceiling
+    are computed here on each call, each cluster's terms come from
+    `cluster_terms`, the splitting cost is not memoized, a metric domain
+    error is returned as its message instead of raised, and uniform
+    complexity, each target cluster's coupling term and tsr are exact
+    fractions rounded once.
     Returns the five numbers (uniform complexity, cohesion, coupling, tsr,
     combined), or that message.
     """
     clusters = [cluster_terms(model, authors, mask) for mask in partition]
     n_functionalities = len(model.functionalities)
-    ceiling = 0.0
+    ceiling = 0
     if n_functionalities:
         distributed = model.touch.sum(axis=1) >= 2
         touchers = model.touch[distributed].sum(axis=0)
         accesses = (model.read + model.write)[distributed].sum(axis=0)
-        ceiling = int(accesses @ (touchers - 1)) / n_functionalities
+        ceiling = int(accesses @ (touchers - 1))
     if ceiling == 0:
         uniform = 0.0
     else:
@@ -476,7 +499,7 @@ def evaluate(model, authors, partition):
         products = model.read @ model.write.T
         both = (model.read & model.write).sum(axis=1)
         cost = 2 * int(products[rows[:, None], rows].sum() - both[rows].sum())
-        uniform = cost / n_functionalities / ceiling
+        uniform = float(Fraction(cost, ceiling))
     total = 0.0
     for terms in clusters:
         total += terms[2]
@@ -485,13 +508,12 @@ def evaluate(model, authors, partition):
     if n == 1:
         coupling = 0.0
     else:
-        sized = [(terms[0], terms[1]) for terms in clusters]
         total = 0.0
-        for i, source in enumerate(clusters):
-            targets = source[5]
-            for j, (mask, size) in enumerate(sized):
-                if i != j:
-                    total += (targets & mask).bit_count() / size
+        for j, (mask, size, *_) in enumerate(clusters):
+            exposed = sum(
+                (source[5] & mask).bit_count() for i, source in enumerate(clusters) if i != j
+            )
+            total += float(Fraction(exposed, size))
         coupling = total / (n * (n - 1))
     n_authors = authors.shape[1]
     if not n_authors:
@@ -499,7 +521,7 @@ def evaluate(model, authors, partition):
     author_count_sum = 0
     for terms in clusters:
         author_count_sum += terms[3]
-    tsr = (author_count_sum / len(clusters)) / n_authors
+    tsr = float(Fraction(author_count_sum, len(clusters) * n_authors))
     for name, value in (
         ("uniform complexity", uniform),
         ("cohesion", cohesion),

@@ -272,6 +272,88 @@ def test_mine_keeps_the_root_commits_files_under_log_show_root_false(tmp_path, m
     assert DevelopmentHistory.parse(default).files() == ["A.java", "B.java", "Root.java"]
 
 
+# settings that change nothing in the log `read_git_log` asks git for: each is set
+# alone, and the log must be the one under no config at all
+NEUTRAL_GIT_CONFIG = [
+    ("color.ui", "always"),
+    ("color.diff", "always"),
+    ("diff.renames", "copies"),
+    ("diff.renames", "false"),
+    ("diff.renameLimit", "1"),
+    ("log.showSignature", "true"),
+    ("diff.relative", "true"),
+    ("log.follow", "true"),
+    ("core.quotePath", "false"),
+    ("log.mailmap", "false"),
+    ("diff.noprefix", "true"),
+    ("diff.mnemonicPrefix", "true"),
+    ("log.decorate", "full"),
+    ("diff.suppressBlankEmpty", "true"),
+    ("status.renames", "false"),
+    ("diff.ignoreSubmodules", "all"),
+    ("diff.orderFile", "ORDER"),  # a path under the test's directory, made absolute below
+    ("log.excludeDecoration", "refs/heads/*"),
+]
+
+
+@pytest.fixture(scope="module")
+def renaming_repo(tmp_path_factory):
+    """Adds in two directories, renames within and across them, a modify and a delete."""
+    repo = tmp_path_factory.mktemp("renaming")
+    identity = ["-c", "user.name=Dev", "-c", "user.email=dev@example.com"]
+
+    def commit(message, *changes):
+        for args in (*changes, ["add", "-A"], [*identity, "commit", "-qm", message]):
+            subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    for directory in ("a", "b"):
+        (repo / directory).mkdir()
+    for name in ("a/A.java", "a/B.java", "b/C.java", "README.md"):
+        (repo / name).write_text(f"class {name} {{}}\n" * 20, encoding="utf-8")
+    subprocess.run(["git", "-C", str(repo), "init", "-q"], check=True, capture_output=True)
+    commit("one")
+    (repo / "a" / "B.java").write_text("class B {}\n", encoding="utf-8")
+    commit("two", ["mv", "a/A.java", "b/A.java"], ["mv", "b/C.java", "b/D.java"])
+    commit("three", ["rm", "-q", "b/D.java"])
+    return repo
+
+
+@pytest.mark.parametrize(
+    ("key", "value"), NEUTRAL_GIT_CONFIG, ids=map("=".join, NEUTRAL_GIT_CONFIG)
+)
+def test_user_git_config_leaves_the_log_as_it_is(renaming_repo, tmp_path, monkeypatch, key, value):
+    _git_config(monkeypatch)
+    default = read_git_log(str(renaming_repo))
+    assert "R100\ta/A.java\tb/A.java" in default and "D\tb/D.java" in default
+    if key == "diff.orderFile":
+        order = tmp_path / value
+        order.write_text("b/*\nREADME.md\n", encoding="utf-8")
+        value = str(order)
+    _git_config(monkeypatch, **{key: value})
+    assert read_git_log(str(renaming_repo)) == default
+
+
+def test_mine_counts_one_developer_under_two_emails_once_through_mailmap(tmp_path, monkeypatch):
+    """`%aE` maps the author's email through the repository's `.mailmap`."""
+    _git_config(monkeypatch)
+    repo = tmp_path / "repo"
+    _commit_files(repo, [("one", ["A.java"])])
+    (repo / ".mailmap").write_text("Dev <new@x.org> <Old@x.org>\n", encoding="utf-8")
+    (repo / "A.java").write_text("class A {}\n", encoding="utf-8")
+    (repo / "B.java").write_text("class B {}\n", encoding="utf-8")
+    identity = ["-c", "user.name=Dev", "-c", "user.email=Old@x.org"]
+    for args in (["add", "."], [*identity, "commit", "-qm", "two"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    history = json.loads(_mine(repo, tmp_path).read_text())
+    assert history["authorship"] == {
+        "A.java": ["dev@example.com", "new@x.org"],
+        "B.java": ["new@x.org"],
+    }
+    (repo / ".mailmap").write_text("Dev <dev@example.com> <Old@x.org>\n", encoding="utf-8")
+    history = json.loads(_mine(repo, tmp_path, "one_author.json").read_text())
+    assert history["authorship"] == {"A.java": ["dev@example.com"], "B.java": ["dev@example.com"]}
+
+
 def test_mine_repository_with_a_line_separator_in_a_name(tmp_path, monkeypatch):
     """Under core.quotePath = false git prints U+2028 as it is; the name stays one file."""
     _git_config(monkeypatch, **{"core.quotePath": "false"})

@@ -315,6 +315,19 @@ def test_change_at_delete_timestamp_is_not_a_revival():
     assert prune_deleted(events) == []
 
 
+def test_change_after_the_delete_in_log_order_revives_under_clock_skew():
+    """c3 follows the delete in the log, though its clock dates it before c2: K.java lives."""
+    text = (
+        "commit\tc1\t100\tdev@example.com\nA\tK.java\nA\tO.java\n\n"
+        "commit\tc2\t300\tdev@example.com\nD\tK.java\n\n"
+        "commit\tc3\t200\tdev@example.com\nA\tK.java\n"
+    )
+    history = mine_history(text, window_seconds=0)
+    assert history.file_commit_count == {"K.java": 2, "O.java": 1}
+    events = [_event("c1", 200, MODIFY, "F.java"), _event("c2", 100, DELETE, "F.java")]
+    assert prune_deleted(events) == []  # a delete dated before the change still follows it
+
+
 def test_bundling_chains_within_window():
     events = [
         _event("c1", 0, ADD, "A.java", author="x@x"),
@@ -694,14 +707,13 @@ def test_pipeline_invariants_on_random_streams(events):
     assert DevelopmentHistory.parse(text).serialize() == text
 
 
-@given(commit_stream(), st.sampled_from([1, 3600, 86_400]), st.booleans(), st.randoms())
+@given(commit_stream(), st.booleans(), st.randoms())
 @settings(max_examples=80, deadline=None)
-def test_prune_drops_exactly_the_dead_files(events, tick, shuffled, rng):
-    # coarser clocks put deletes and other changes of one file at equal timestamps
-    events = [e._replace(timestamp=e.timestamp // tick) for e in events]
+def test_prune_drops_exactly_the_dead_files(events, shuffled, rng):
+    # shuffled events no longer follow their times
     if shuffled:
         rng.shuffle(events)
-    dead = oracles.dead_files([(e.filename, e.status, e.timestamp) for e in events])
+    dead = oracles.dead_files([(e.filename, e.status) for e in events])
     assert prune_deleted(events) == [
         e for e in events if e.status != DELETE and e.filename not in dead
     ]

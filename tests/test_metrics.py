@@ -136,6 +136,19 @@ def test_cohesion_full_touch_is_one():
     assert _metric(cohesion, model, [["A", "B"], ["C", "D"]]) == 1.0
 
 
+def test_cohesion_is_the_exact_mean_share_rounded_once():
+    """22 touches of 8 functionalities over 6 entities: 11/24, whatever the functionalities' order.
+
+    Summed share by share in this order, the mean would round to 0.45833333333333337.
+    """
+    entities = "ABCDEF"
+    touched = {f"f{i}": entities[:count] for i, count in enumerate((1, 1, 1, 3, 3, 6, 2, 5))}
+    traces = {name: [(entity, "R") for entity in members] for name, members in touched.items()}
+    for order in (traces, dict(reversed(traces.items()))):
+        assert _metric(cohesion, to_model(order), [list(entities)]) == 0.4583333333333333 == 11 / 24
+        assert oracles.cohesion_measure([list(entities)], order) == 11 / 24
+
+
 def test_singletons_are_fully_cohesive():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["A", "R"], ["C", "W"]]})
     assert _metric(cohesion, model, [["A"], ["B"], ["C"]]) == 1.0
