@@ -124,6 +124,18 @@ def _scan_upgma(matrix: np.ndarray) -> Dendrogram:
     return Dendrogram(n, tuple(lefts), tuple(rights), tuple(heights))
 
 
+# Live clusters at or below which `agglomerate_stack` takes a step's minima down
+# the columns of the live prefix and keeps no nearest-cluster cache.  On a small
+# prefix a step costs numpy's per-call overhead, and the cache's upkeep takes more
+# calls per merge (about 48) than the one scan it saves (about 33); on a large one
+# the scan's m² reads per matrix cost more.  Against the cache throughout, at 24
+# the 21-matrix step-50 stacks clustered in 1.28-1.52 against 1.71-2.02 ms at 24
+# entities and 4.5-5.5 against 4.8-5.6 ms at 60, and 160 entities read level; at
+# 32 the first step-10 stack of 60 entities (291 matrices) read up to 3% slower,
+# at 48 up to 14% and at 64 up to 23% (2-core VM, medians of 21-61 interleaved runs).
+_SCAN_CLUSTERS = 24
+
+
 def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     """`agglomerate` of each matrix of a (count, n, n) float stack, merges and heights bit for bit.
 
@@ -135,15 +147,21 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
 
     Before merge step s each matrix keeps its m = n - s live clusters in
     slots 0 .. m-1, and the step reads and writes only that m x m prefix.
-    Row r caches its exact smallest distance and the id of the cluster in the
-    first slot at it that `argmin` returns.  Of the rows at the smallest
-    cached distance, the one with the smallest id is the pair's first
-    cluster, and the smallest id at that distance in its row is the second:
-    the pair `agglomerate` picks.  The merged cluster takes the lower slot of
-    the pair; the cluster in the last live slot moves into the upper one,
-    with its row, column, id, size and cache.  The merged row and the rows
-    whose cached cluster was one of the pair are scanned again; another row
-    moves to the merged cluster only when it is strictly closer.
+    While m is above `_SCAN_CLUSTERS`, row r caches its exact smallest
+    distance and the id of the cluster in the first slot at it that `argmin`
+    returns; from there on, each step takes the minima down the columns of
+    the prefix, as `agglomerate` does, and no cache is kept (none is built
+    when n is at most `_SCAN_CLUSTERS`).  A step's fixed numpy overhead
+    outweighs the cache's savings on a small prefix, and the scan's m² reads
+    outweigh the overhead on a large one.  Either way the minima are exact,
+    and the rest of the step is one body.  Of the rows at the smallest
+    distance, the one with the smallest id is the pair's first cluster, and
+    the smallest id at that distance in its row is the second: the pair
+    `agglomerate` picks.  The merged cluster takes the lower slot of the
+    pair; the cluster in the last live slot moves into the upper one, with
+    its row, column, id, size and any cache.  The merged row and the rows whose
+    cached cluster was one of the pair are scanned again; another row moves
+    to the merged cluster only when it is strictly closer.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ClusteringError("expected a stack of non-empty square matrices")
@@ -152,15 +170,21 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
     stack[:, np.arange(n), np.arange(n)] = np.inf
     ids = np.tile(np.arange(n), (count, 1))
     sizes = np.ones((count, n), dtype=int)
-    nearest = stack.argmin(axis=2)  # cluster ids, which are the slots before any merge
-    distance = stack.min(axis=2)
+    if n > _SCAN_CLUSTERS:
+        nearest = stack.argmin(axis=2)  # cluster ids, which are the slots before any merge
+        distance = stack.min(axis=2)
     no_id = 2 * n
     lefts = np.empty((n - 1, count), dtype=int)
     rights = np.empty((n - 1, count), dtype=int)
     heights = np.empty((n - 1, count))
     for step in range(n - 1):
         last = n - 1 - step  # the last live slot; after this merge, slots 0 .. last-1 are live
-        live_distance, live_ids = distance[:, : last + 1], ids[:, : last + 1]
+        live_ids = ids[:, : last + 1]
+        if last < _SCAN_CLUSTERS:
+            # each column holds its row's values, as the prefix is exactly symmetric
+            live_distance = stack[:, : last + 1, : last + 1].min(axis=1)
+        else:
+            live_distance = distance[:, : last + 1]
         lowest = live_distance.min(axis=1, out=heights[step])
         row = np.where(live_distance == lowest[:, None], live_ids, no_id).argmin(axis=1)
         row_line = stack[batch, row, : last + 1]
@@ -184,10 +208,13 @@ def agglomerate_stack(stack: np.ndarray) -> list[Dendrogram]:
         stack[batch, :last, gone] = stack[:, :last, last]
         stack[batch, keep, :last] = merged
         stack[batch, :last, keep] = merged
-        for array in (ids, sizes, nearest, distance):
+        cached = last > _SCAN_CLUSTERS  # the next step reads the cache
+        for array in (ids, sizes, nearest, distance) if cached else (ids, sizes):
             array[batch, gone] = array[:, last]
         ids[batch, keep] = n + step
         sizes[batch, keep] = size
+        if not cached:
+            continue
         near, live_distance = nearest[:, :last], distance[:, :last]
         stale = (near == row_id[:, None]) | (near == partner_id[:, None])
         stale[batch, keep] = True  # its cached cluster may be a third one, not the partner

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
@@ -20,6 +20,7 @@ from monosplit import (
     enumerate_weights,
     to_dissimilarity,
 )
+from monosplit import clustering
 from monosplit.clustering import agglomerate_stack, cuts, members
 from monosplit.similarity import blend, measure_matrices
 
@@ -342,15 +343,31 @@ def test_every_cut_is_a_partition_and_cuts_nest(matrix):
 # ------------------------------------------------------------ stacked UPGMA
 
 
+@pytest.fixture(params=["cache", "default", "scan"])
+def switch(request, monkeypatch):
+    """The stacked kernel with its cache throughout, at its default switch, and with none.
+
+    At the default, stacks of more than `_SCAN_CLUSTERS` leaves keep the
+    cache for their first merges and then scan; the strategies below draw
+    n on both sides of it.
+    """
+    value = {"cache": 0, "default": clustering._SCAN_CLUSTERS, "scan": 1000}[request.param]
+    monkeypatch.setattr(clustering, "_SCAN_CLUSTERS", value)
+
+
+# the switch is set once per test, the same for every example
+PER_SWITCH = [HealthCheck.function_scoped_fixture]
+
+
 @st.composite
 def tie_heavy_stacks(draw):
-    """1 to 6 symmetric n x n matrices, n in 1..30, entries on a grid of 2, 4 or 8 steps.
+    """1 to 6 symmetric n x n matrices, n in 1..48, entries on a grid of 2, 4 or 8 steps.
 
     On these the update rule and the oracle's plain mean of the original
     entries can round apart and so break ties differently; the oracle is
     compared on ultrametrics below, where both are exact.
     """
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 48))
     count = draw(st.integers(1, 6))
     levels = draw(st.sampled_from([2, 4, 8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -360,13 +377,13 @@ def tie_heavy_stacks(draw):
 
 @st.composite
 def quantised_ultrametric_stacks(draw):
-    """1 to 6 ultrametrics over n in 1..30 leaves, with heights on a quarter grid.
+    """1 to 6 ultrametrics over n in 1..48 leaves, with heights on a quarter grid.
 
     Every cluster pair UPGMA compares then averages equal entries, so the
     update rule and the oracle's plain mean are both exact and must agree
     bit for bit, ties included.
     """
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 48))
     count = draw(st.integers(1, 6))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     stack = np.zeros((count, n, n))
@@ -382,11 +399,9 @@ def quantised_ultrametric_stacks(draw):
     return stack
 
 
-
-
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150, suppress_health_check=PER_SWITCH)
 @given(tie_heavy_stacks())
-def test_stacked_upgma_matches_agglomerate_bit_for_bit(stack):
+def test_stacked_upgma_matches_agglomerate_bit_for_bit(switch, stack):
     dendrograms = agglomerate_stack(stack.copy())
     assert len(dendrograms) == len(stack)
     for matrix, dendrogram in zip(stack, dendrograms):
@@ -407,30 +422,35 @@ def test_cut_masks_match_sorted_names(stack):
             assert _names(partition, entities) == cut(dendrogram, k, entities)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150, suppress_health_check=PER_SWITCH)
 @given(quantised_ultrametric_stacks())
-def test_stacked_upgma_matches_agglomerate_and_oracle_on_ultrametrics(stack):
+def test_stacked_upgma_matches_agglomerate_and_oracle_on_ultrametrics(switch, stack):
     for matrix, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
         assert dendrogram == agglomerate(matrix)
         assert _merge_triples(dendrogram) == [tuple(m) for m in upgma_merges(matrix.tolist())]
 
 
-def test_stacked_upgma_rescans_the_merged_row():
-    """The smallest matrix found where the merged row's cached slot is not its partner.
+def test_stacked_upgma_rescans_the_merged_row(switch):
+    """Small matrices whose merges need the merged row scanned again.
 
-    After 0 and 1 merge into cluster 4, row 2 caches cluster 4's slot at 0.25,
-    but pairs with cluster 3, the smallest id at that distance; its merged row
-    must be scanned again, or cluster 5 keeps 0.25 to cluster 4, not 0.3125.
+    In `moved`, 0 and 1 merge into cluster 4 in slot 0 and cluster 3 moves
+    into slot 1, so row 4 caches cluster 3 at 0.625, neither of the next
+    pair: 2 and 4 merge into cluster 5 in slot 0.  Unless its row is scanned
+    again, cluster 5 keeps 0.625 to cluster 3, not (0.75 + 2·0.625)/3.  In
+    `tied`, row 2 caches cluster 4's slot at 0.25 but pairs with cluster 3,
+    the smallest id at that distance.
     """
-    matrix = np.array(
+    moved = np.array([[0, 0.25, 0.25, 0.25], [0.25, 0, 1, 1], [0.25, 1, 0, 0.75], [0.25, 1, 0.75, 0]])
+    tied = np.array(
         [[0, 0.25, 0.25, 0.25], [0.25, 0, 0.25, 0.5], [0.25, 0.25, 0, 0.25], [0.25, 0.5, 0.25, 0]]
     )
     graded = np.array([[0, 0.5, 0.75, 1], [0.5, 0, 0.25, 0.75], [0.75, 0.25, 0, 0.5], [1, 0.75, 0.5, 0]])
     level = 1 - np.eye(4)
-    for stack in (matrix[None], np.stack([graded, matrix, level])):
+    for stack in (moved[None], tied[None], np.stack([graded, moved, tied, level])):
         for one, dendrogram in zip(stack, agglomerate_stack(stack.copy())):
             assert dendrogram == agglomerate(one)
-    assert agglomerate(matrix).height == (0.25, 0.25, 0.3125)
+    assert agglomerate(moved).height == (0.25, 0.625, 2 / 3)
+    assert agglomerate(tied).height == (0.25, 0.25, 0.3125)
 
 
 # Both kernels keep the live clusters in a shrinking prefix of slots: a merge
@@ -457,7 +477,7 @@ PREFIX_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
-def test_prefix_edge_cases_match_the_oracle(case):
+def test_prefix_edge_cases_match_the_oracle(case, switch):
     matrix = np.array(PREFIX_CASES[case], dtype=float) / 8
     mirrored = matrix[::-1, ::-1].copy()
     assert _merge_triples(agglomerate(matrix)) == _oracle(matrix) == scan_upgma(matrix)

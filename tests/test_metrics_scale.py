@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from monosplit import (
@@ -18,6 +19,7 @@ from monosplit import (
     to_dissimilarity,
     write_results_csv,
 )
+from monosplit.clustering import _SCAN_CLUSTERS, agglomerate_stack
 from monosplit.similarity import blend, measure_matrices
 
 import oracles
@@ -243,3 +245,19 @@ def test_slot_kernel_matches_full_scan_at_160_entities():
         zero_heights.append(dendrogram.height.count(0.0))
     assert mismatched == []
     assert max(zero_heights) > 100
+
+
+def test_stacked_kernel_matches_agglomerate_at_160_entities():
+    """`agglomerate_stack` of the 21 step-50 matrices of the sweep-wide shape, bit for bit.
+
+    Each matrix takes its merges down to `_SCAN_CLUSTERS` live clusters with
+    the nearest-cluster cache and the rest from column minima, through ties at
+    height 0.
+    """
+    _, _, model, history, files = _benchmark_model(6, 160, 8, 22)
+    stack = measure_matrices(model, history, files)
+    matrices = np.stack([to_dissimilarity(blend(stack, w)) for w in enumerate_weights(50)])
+    assert 0 < _SCAN_CLUSTERS < 160
+    expected = [agglomerate(matrix) for matrix in matrices]
+    assert agglomerate_stack(matrices.copy()) == expected
+    assert max(dendrogram.height.count(0.0) for dendrogram in expected) > 100
