@@ -34,7 +34,6 @@ from .metrics import (
     combined_score,
     coupling,
     evaluate,
-    max_complexity,
     tsr,
     uniform_complexity,
 )

@@ -23,10 +23,8 @@ class StatsError(ValueError):
 
 
 def metric_value(row: ResultRow, metric: str) -> float:
-    try:
-        return row.metrics[_METRIC_INDEX[metric]]
-    except KeyError:
-        raise StatsError(f"unknown metric: {metric!r}") from None
+    """The row's value of a metric named in METRIC_COLUMNS."""
+    return row.metrics[_METRIC_INDEX[metric]]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ GIT_LOG_ARGS = [
     "--pretty=format:commit%x09%H%x09%ct%x09%aE",
 ]
 
-_STATUS_RE = re.compile(r"^([A-Z])(\d*)$")
+_STATUS_RE = re.compile(r"^([A-Z])(\d*)$", re.ASCII)
 
 
 class GitLogError(ValueError):

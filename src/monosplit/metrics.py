@@ -13,6 +13,13 @@ class MetricsError(ValueError):
     """Invalid metric input."""
 
 
+# Bytes of a scoring pass's temporaries, which sets how many partitions a chunk
+# holds.  The sweep hands `memoize` all the partitions of a stack: chunks of 1 MiB
+# ran the dense step-10 benchmark sweep (24 entities) as fast as chunks of the
+# whole 8 MiB stack budget, at 53.5 against 56.9 MiB of peak RSS (2-core VM).
+_CHUNK_BYTES = 1024 * 1024
+
+
 class Scorer:
     """One model's tables for scoring partitions given as member masks, memoized per partition.
 
@@ -62,11 +69,11 @@ class Scorer:
         self._rows: dict[int, int] = {}  # member mask -> its row of the cluster tables
         self.records: dict[tuple[int, ...], MetricsRecord] = {}
 
-    def memoize(self, partitions, max_bytes: int) -> None:
+    def memoize(self, partitions) -> None:
         """Score the partitions not seen yet, in chunks of one array pass each.
 
         A chunk holds as many partitions as keep the pass's temporaries within
-        about `max_bytes`, and at least one.
+        about `_CHUNK_BYTES`, and at least one.
         """
         records = self.records
         unseen = [partition for partition in dict.fromkeys(partitions) if partition not in records]
@@ -76,7 +83,7 @@ class Scorer:
         # the pass's temporaries per partition: coupling's float64 share and uint64 AND
         # of each pair of clusters, and the splitting cost's flag per cluster and
         # functionality and four 8-byte numbers per functionality
-        size = max(1, max_bytes // (17 * k * k + (k + 32) * self.n_functionalities))
+        size = max(1, _CHUNK_BYTES // (17 * k * k + (k + 32) * self.n_functionalities))
         for start in range(0, len(unseen), size):
             chunk = unseen[start : start + size]
             records.update(zip(chunk, _score(self, self.table(chunk))))
@@ -156,11 +163,6 @@ def _score(scorer: Scorer, clusters: np.ndarray) -> list[MetricsRecord]:
 def _cluster_counts(clusters: np.ndarray) -> np.ndarray:
     """k of each partition of a table: its rows other than the padding row 0."""
     return np.count_nonzero(clusters, axis=0)
-
-
-def max_complexity(model: AccessModel) -> float:
-    """Splitting cost per functionality of the all-singletons decomposition (see `_max_cost`)."""
-    return _max_cost(model) / len(model.functionalities) if model.functionalities else 0.0
 
 
 def _max_cost(model: AccessModel) -> int:
@@ -272,5 +274,5 @@ def evaluate(scorer: Scorer, partition: tuple[int, ...]) -> MetricsRecord:
     metric out of range.
     """
     if partition not in scorer.records:
-        scorer.memoize((partition,), 0)  # one partition is one chunk whatever the budget
+        scorer.memoize((partition,))
     return scorer.records[partition]

@@ -47,9 +47,14 @@ class Weights:
         parts = text.split(",")
         if len(parts) != 6:
             raise SimilarityError(f"expected 6 comma-separated weights, got {len(parts)}")
+        digits = [p.strip() for p in parts]
+        # ASCII digits alone, as `read_results_csv` takes a weight: int() also reads
+        # `1_0`, `+10` and non-ASCII digits
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise SimilarityError(f"weights must be integers in ASCII digits: {text!r}")
         try:
-            numbers = [int(p.strip()) for p in parts]
-        except ValueError:
+            numbers = [int(d) for d in digits]
+        except ValueError:  # more digits than `int` reads from a string
             raise SimilarityError(f"weights must be integers: {text!r}") from None
         return cls(*numbers)
 
@@ -83,17 +88,16 @@ def map_entities_to_files(entities, history: DevelopmentHistory) -> dict[str, st
     return mapping
 
 
-def _row_shares(shared: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Each row of shared counts over that row's total; rows with a zero total stay zero."""
-    column = totals[:, None]
+def _row_shares(shared: np.ndarray) -> np.ndarray:
+    """Each row of shared counts over its diagonal cell, the row's own count; zero rows stay zero."""
+    column = np.diag(shared)[:, None]
     return np.divide(shared, column, out=np.zeros(shared.shape), where=column > 0)
 
 
 def _mode_matrix(incidence: np.ndarray) -> np.ndarray:
     """Share of the functionalities touching entity i that also touch entity j, in one mode."""
     touches = incidence.astype(float)
-    shared = touches.T @ touches
-    return _row_shares(shared, np.diag(shared))
+    return _row_shares(touches.T @ touches)
 
 
 def _sequence_matrix(steps: np.ndarray) -> np.ndarray:
@@ -112,15 +116,13 @@ def _commit_matrix(entities, history: DevelopmentHistory, entity_files) -> np.nd
     Entities mapped to None or to a file absent from the history get an empty row
     and column.  Entities mapped to one file share all their commits.
     """
-    shared = history.shared_commits([entity_files[e] for e in entities])
-    return _row_shares(shared, np.diag(shared))
+    return _row_shares(history.shared_commits([entity_files[e] for e in entities]))
 
 
 def _author_matrix(entities, history: DevelopmentHistory, entity_files) -> np.ndarray:
     """Share of entity i's authors that also authored entity j's file: EA EA' over row sizes."""
     incidence = history.entity_authors([entity_files[e] for e in entities]).astype(np.int64)
-    shared = incidence @ incidence.T
-    return _row_shares(shared, np.diag(shared))
+    return _row_shares(incidence @ incidence.T)
 
 
 def measure_matrices(
@@ -165,11 +167,15 @@ def blend(stack: np.ndarray, weights: Weights) -> np.ndarray:
 
 
 def csv_cell(text: str) -> str:
-    """A text cell as csv.writer writes it within a row."""
+    """A text cell as csv.writer writes it within a row.
+
+    A text holding none of `,`, `"`, `\\r` and `\\n` is written as it is.
+    """
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
     buffer = io.StringIO()
-    # with a second cell: a row of one empty cell is written as `""`
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[: -len(",\n")]
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
 
 
 @dataclass(frozen=True)
@@ -180,9 +186,8 @@ class SimilarityMatrix:
     def to_csv(self) -> str:
         """Header row of entities, then one row per entity with its cells to six decimals.
 
-        Entity names are quoted as csv.writer quotes them, so a name holding a
-        comma, a quote or a line break stays one cell; a name holding none of
-        `,`, `"`, `\\r` and `\\n` is written as it is.
+        Entity names are quoted as csv.writer quotes them (`csv_cell`), so a
+        name holding a comma, a quote or a line break stays one cell.
 
         Blended matrices hold few distinct values, so each distinct float64 bit
         pattern is formatted once: one sort finds the patterns, a binary search
@@ -198,10 +203,7 @@ class SimilarityMatrix:
         bits = bits[first]
         text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
         rows = text[np.searchsorted(bits, cells).reshape(values.shape)].tolist()
-        names = [
-            csv_cell(name) if "," in name or '"' in name or "\r" in name or "\n" in name else name
-            for name in self.entities
-        ]
+        names = list(map(csv_cell, self.entities))
         lines = ["entity," + ",".join(names)]
         lines.extend(name + "," + ",".join(row) for name, row in zip(names, rows))
         return "\n".join(lines) + "\n"

@@ -142,12 +142,9 @@ def _score_grid(
             cuts(dendrogram, counts) for dendrogram in agglomerate_stack(batch[: len(vectors)])
         ]
         # the partitions this stack cuts that no earlier stack did are scored in one
-        # array pass per chunk, and `evaluate` reads each one's record.  Chunks of an
-        # eighth of the budget ran the dense step-10 benchmark sweep (24 entities) as
-        # fast as chunks of all of it, at 53.5 against 56.9 MiB of peak RSS (2-core VM)
+        # array pass per chunk, and `evaluate` reads each one's record
         scorer.memoize(
-            (partition for partitions in stack_partitions for partition in partitions.values()),
-            _STACK_BYTES // 8,
+            partition for partitions in stack_partitions for partition in partitions.values()
         )
         for weights, partitions in zip(vectors, stack_partitions):
             group = classify_group(weights)

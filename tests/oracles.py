@@ -126,10 +126,11 @@ def _complexity_total(clusters, traces):
 
 def max_complexity_measure(traces):
     names = list(traces)
-    return _max_complexity_total(traces) / len(names) if names else 0.0
+    return max_complexity_total(traces) / len(names) if names else 0.0
 
 
-def _max_complexity_total(traces):
+def max_complexity_total(traces):
+    """C: the splitting cost of the all-singletons decomposition, ignoring access modes."""
     names = list(traces)
 
     def is_distributed(name):
@@ -149,7 +150,7 @@ def _max_complexity_total(traces):
 
 
 def uniform_complexity_measure(clusters, traces):
-    ceiling = _max_complexity_total(traces)
+    ceiling = max_complexity_total(traces)
     if ceiling == 0:
         return 0.0
     return float(Fraction(_complexity_total(clusters, traces), ceiling))
@@ -241,7 +242,7 @@ def welch_measure(sample_a, sample_b):
     return t, df, student_upper_tail(t, df)
 
 
-_STATUS = re.compile(r"^([A-Z])(\d*)$")
+_STATUS = re.compile(r"^([A-Z])(\d*)$", re.ASCII)
 
 
 def git_log_events(text, extension=".java"):

@@ -19,7 +19,6 @@ from monosplit import (
     coupling,
     enumerate_weights,
     evaluate,
-    max_complexity,
     mine_history,
     run_sweep,
     size_split,
@@ -196,8 +195,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
             checks = (
                 ("complexity", cost / len(model.functionalities),
                  oracles.complexity_measure(clusters, traces)),
-                ("max_complexity", max_complexity(model),
-                 oracles.max_complexity_measure(traces)),
+                ("max_cost", scorer.max_cost, oracles.max_complexity_total(traces)),
                 ("uniform", uniform,
                  oracles.uniform_complexity_measure(clusters, traces)),
                 ("cohesion", cohesion_value,

@@ -529,7 +529,9 @@ def test_decompose_writes_partition_and_matrix(fixture_repo, tmp_path, accesses_
     assert matrix_out.read_text().splitlines()[0] == "entity,Order,Product,User"
 
 
-@pytest.mark.parametrize("weights", ["1,2", "10,10,10,10,10,10", "a,b,c,d,e,f", "110,-10,0,0,0,0"])
+@pytest.mark.parametrize(
+    "weights", ["1,2", "10,10,10,10,10,10", "a,b,c,d,e,f", "110,-10,0,0,0,0", "1_0,90,0,0,0,0"]
+)
 def test_decompose_rejects_bad_weights(fixture_repo, tmp_path, accesses_path, weights, capsys):
     history = _mine(fixture_repo, tmp_path)
     code = main(

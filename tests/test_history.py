@@ -130,6 +130,9 @@ _PARSE_ERRORS = {
     _HEADER + "D\n": "line 2: expected exactly one path",
     _HEADER + "m\tX.java\n": "line 2: malformed status token: 'm'",
     _HEADER + "AD\tX.java\n": "line 2: malformed status token: 'AD'",
+    # `\d` matches any Unicode digit; git writes a score in ASCII digits alone
+    _HEADER + "R١٠٠\tA.java\tB.java\n": "line 2: malformed status token: 'R١٠٠'",
+    _HEADER + "M١\tX.java\n": "line 2: malformed status token: 'M١'",
     _HEADER + "\n \t\nM\tX.java\tY.java\n": "line 4: expected exactly one path",
     # `int` reads each of these; git writes a commit time in ASCII digits alone
     "commit\tabc\t 7 \tdev@example.com\n": "line 1: bad timestamp: ' 7 '",

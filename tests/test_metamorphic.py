@@ -120,7 +120,7 @@ def test_scores_have_the_same_bits_whatever_the_order_of_the_functionalities(cas
     records = []
     for model in (to_model(traces), to_model(shuffled)):
         scorer = Scorer(model, history.entity_authors([files[e] for e in model.entities]))
-        scorer.memoize(partitions, 1 << 20)
+        scorer.memoize(partitions)
         records.append([scorer.records[partition] for partition in partitions])
     assert records[0] == records[1]
 

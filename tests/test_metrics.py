@@ -18,7 +18,6 @@ from monosplit import (
     coupling,
     evaluate,
     load_access_model,
-    max_complexity,
     run_sweep,
     tsr,
     uniform_complexity,
@@ -67,6 +66,11 @@ def _metric(metric, model, clusters):
     return _single(metric, _scored(model, clusters))
 
 
+def _max_cost(model):
+    """C, the splitting cost of the all-singletons decomposition, as a scorer holds it."""
+    return Scorer(model, NO_HISTORY.entity_authors([None] * len(model.entities))).max_cost
+
+
 CROSS_MODEL = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["A", "W"]]})
 
 
@@ -99,21 +103,22 @@ def test_repeated_accesses_count_once():
 
 
 def test_empty_model_scores_zero():
-    assert max_complexity(_model({})) == 0.0
+    assert _max_cost(_model({})) == 0
 
 
 # ------------------------------------------------------------- max/uniform
 
 
 def test_max_complexity_ignores_modes():
-    assert max_complexity(CROSS_MODEL) == 2.0
+    # two accesses per functionality, each paying 1 for the other functionality
+    assert _max_cost(CROSS_MODEL) == 4
     same_mode = _model({"f1": [["A", "R"], ["B", "R"]], "f2": [["B", "R"], ["A", "R"]]})
-    assert max_complexity(same_mode) == 2.0
+    assert _max_cost(same_mode) == 4
 
 
 def test_max_complexity_zero_for_single_entity_traces():
     model = _model({"f1": [["A", "R"]], "f2": [["A", "W"], ["A", "R"]]})
-    assert max_complexity(model) == 0.0
+    assert _max_cost(model) == 0
     # degenerate ceiling: uniform defined as 0 for any decomposition
     assert _metric(uniform_complexity, model, [["A"]]) == 0.0
 
@@ -402,7 +407,7 @@ def test_evaluate_scores_through_the_module_level_metrics(monkeypatch):
             return np.full(clusters.shape[1], value)
 
         monkeypatch.setattr(metrics, name, stand_in)
-    scorer.memoize(partitions, 1 << 20)
+    scorer.memoize(partitions)
     table = scorer.table(partitions)
     assert [(name, got_scorer) for name, got_scorer, _ in calls] == [
         (name, scorer) for name in stand_ins
@@ -438,7 +443,7 @@ def test_a_metric_out_of_range_fails_the_pass(monkeypatch, parallelism):
     monkeypatch.setattr(metrics, "coupling", skewed_coupling)
     scorer = Scorer(model, authors)
     with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5 \(partition 3 of 3\)$"):
-        scorer.memoize(partitions, 1 << 20)
+        scorer.memoize(partitions)
     assert scorer.records == {}
     with pytest.raises(MetricsError, match=r"^coupling out of range: 1\.5 \(partition 1 of 1\)$"):
         evaluate(Scorer(model, authors), partitions[0])
@@ -483,7 +488,7 @@ def test_metrics_match_naive_oracles(seed):
         clusters = sorted(random_partition(rng, model.entities, k))
         scored = _scored(model, clusters, history, files)
         assert _complexity(model, clusters) == oracles.complexity_measure(clusters, traces)
-        assert max_complexity(model) == oracles.max_complexity_measure(traces)
+        assert _max_cost(model) == oracles.max_complexity_total(traces)
         assert _single(uniform_complexity, scored) == oracles.uniform_complexity_measure(
             clusters, traces
         )
@@ -545,17 +550,56 @@ def test_one_pass_gives_the_former_scoring_bit_for_bit(case):
         # the former code's answer was this message for each partition; now the pass raises it
         assert set(want) == {"history has no authors"}
         with pytest.raises(MetricsError, match=r"^history has no authors$"):
-            together.memoize(partitions, 1 << 30)
+            together.memoize(partitions)
         for partition in partitions:
             with pytest.raises(MetricsError, match=r"^history has no authors$"):
-                one_by_one.memoize([partition], 0)
+                one_by_one.memoize([partition])
         assert together.records == one_by_one.records == {}
         return
-    together.memoize(partitions, 1 << 30)
+    together.memoize(partitions)
     for partition in partitions:
-        one_by_one.memoize([partition], 0)
+        one_by_one.memoize([partition])
     for scorer in (together, one_by_one):
         assert [tuple(scorer.records[partition]) for partition in partitions] == want
     if kind == "zero ceiling":
-        assert max_complexity(model) == 0.0
+        assert together.max_cost == 0
         assert {values[0] for values in want} == {0.0}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_pass_split_into_chunks_keeps_every_bit(monkeypatch, seed, size):
+    """Chunks of 1-3 partitions of differing k score as one chunk does, bit for bit."""
+    rng = random.Random(300 + seed)
+    model = to_model(random_traces(rng, 12, 5))
+    entities = model.entities
+    commits, files = random_commits(rng, entities)
+    authors = commits_to_history(commits).entity_authors([files[e] for e in entities])
+    partitions = [
+        partition_masks(entities, random_partition(rng, entities, k))
+        for k in rng.sample(range(1, len(entities) + 1), len(entities))
+    ]
+    one_chunk = Scorer(model, authors)
+    one_chunk.memoize(partitions)
+    # the pass's bytes per partition at the largest k, as `memoize` counts them
+    k = max(map(len, partitions))
+    monkeypatch.setattr(
+        metrics, "_CHUNK_BYTES", size * (17 * k * k + (k + 32) * len(model.functionalities))
+    )
+    widths = []
+    real_score = metrics._score
+
+    def spy_score(scorer, clusters):
+        widths.append(clusters.shape[1])
+        return real_score(scorer, clusters)
+
+    monkeypatch.setattr(metrics, "_score", spy_score)
+    chunked = Scorer(model, authors)
+    chunked.memoize(partitions)
+    full, rest = divmod(len(partitions), size)
+    assert widths == [size] * full + [rest] * (rest > 0)
+    bits = [
+        np.array([scorer.records[partition] for partition in partitions]).view(np.uint64)
+        for scorer in (one_chunk, chunked)
+    ]
+    assert np.array_equal(*bits)

@@ -218,6 +218,14 @@ def test_weights_from_text():
         Weights.from_text("1,2,3")
     with pytest.raises(SimilarityError):
         Weights.from_text("a,b,c,d,e,f")
+    # surrounding spaces are stripped, and leading zeros read as `int` reads them
+    assert Weights.from_text(" 0, 0,0 ,0,050,50") == Weights(0, 0, 0, 0, 50, 50)
+    # int() reads each of these; the results CSV holds a weight in ASCII digits alone
+    for text in ("1_0,90,0,0,0,0", "+10,90,0,0,0,0", "١٠,90,0,0,0,0", "110,-10,0,0,0,0"):
+        with pytest.raises(SimilarityError, match=r"^weights must be integers in ASCII digits: "):
+            Weights.from_text(text)
+    with pytest.raises(SimilarityError, match=r"^weights must be integers: "):
+        Weights.from_text("9" * 5000 + ",0,0,0,0,0")  # past the digit limit of int
 
 
 # commit(A,B) = 2/3, author(A,B) = 1/2: A has three commits, two shared with B, one by x alone
