@@ -12,7 +12,14 @@ from .analysis import (
     size_split,
     welch_test,
 )
-from .clustering import ClusteringError, Decomposition, Dendrogram, agglomerate, cut, to_dissimilarity
+from .clustering import (
+    ClusteringError,
+    Dendrogram,
+    agglomerate,
+    cut,
+    decomposition_json,
+    to_dissimilarity,
+)
 from .history import (
     DevelopmentHistory,
     GitLogError,
@@ -39,10 +46,10 @@ from .metrics import (
 )
 from .similarity import (
     SimilarityError,
-    SimilarityMatrix,
     Weights,
     build_similarity_matrix,
     map_entities_to_files,
+    matrix_csv,
 )
 from .sweep import (
     GROUPS,

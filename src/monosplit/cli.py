@@ -23,9 +23,15 @@ from .analysis import (
     size_split,
     welch_test,
 )
-from .clustering import Decomposition, agglomerate, cut, to_dissimilarity
+from .clustering import agglomerate, cut, decomposition_json, to_dissimilarity
 from .history import DevelopmentHistory, mine_history, read_git_log
-from .similarity import SimilarityError, Weights, build_similarity_matrix, map_entities_to_files
+from .similarity import (
+    SimilarityError,
+    Weights,
+    build_similarity_matrix,
+    map_entities_to_files,
+    matrix_csv,
+)
 from .sweep import (
     CSV_COLUMNS,
     GROUPS,
@@ -41,14 +47,15 @@ class UsageError(Exception):
     """Bad invocation (distinct from a pipeline failure)."""
 
 
+# ASCII digits, as `--weights` takes them: int() also reads `1_0`, ` 10 ` and non-ASCII digits
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -96,11 +103,9 @@ def _cmd_decompose(args) -> int:
         raise UsageError(str(exc)) from exc
     matrix = build_similarity_matrix(model, history, entity_files, weights)
     if args.matrix_out:
-        _write_text(args.matrix_out, matrix.to_csv())
-    dendrogram = agglomerate(to_dissimilarity(matrix.values))
-    clusters = cut(dendrogram, args.clusters, matrix.entities)
-    decomposition = Decomposition(args.codebase, clusters, weights)
-    _write_text(args.out, decomposition.serialize())
+        _write_text(args.matrix_out, matrix_csv(model.entities, matrix))
+    clusters = cut(agglomerate(to_dissimilarity(matrix)), args.clusters, model.entities)
+    _write_text(args.out, decomposition_json(args.codebase, clusters, weights))
     return 0
 
 
@@ -121,7 +126,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_codebase_stats(path: str) -> list[CodebaseStats]:
-    # quoted as the results CSV is; blank and whitespace-only lines are skipped
+    # quoted, and counts written, as in the results CSV; blank and whitespace-only lines are skipped
     reader = csv.reader(io.StringIO(_read_text(path)), strict=True)
     try:
         records = [cells for cells in reader if len(cells) > 1 or "".join(cells).strip()]
@@ -131,7 +136,7 @@ def _read_codebase_stats(path: str) -> list[CodebaseStats]:
         raise UsageError(f"{path}: expected header codebase,commits,authors")
     stats: dict[str, CodebaseStats] = {}
     for cells in records[1:]:
-        if len(cells) != 3:
+        if len(cells) != 3 or any(not c.isascii() or "_" in c or c != c.strip() for c in cells[1:]):
             raise UsageError(f"{path}: bad stats row: {cells!r}")
         if not cells[0] or cells[0] != cells[0].strip():
             raise UsageError(f"{path}: codebase name empty or padded with spaces: {cells!r}")
@@ -249,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--history", required=True, help="history JSON from mine")
     sweep.add_argument("--accesses", required=True, help="functionality access JSON")
     sweep.add_argument("--codebase", required=True, help="codebase id for the result rows")
-    sweep.add_argument("--step", type=int, choices=STEPS, default=10,
+    sweep.add_argument("--step", type=_non_negative_int, choices=STEPS, default=10,
                        help="weight grid step, a divisor of 100 (default 10); the grid holds"
                        " C(100/step + 5, 5) vectors, a CSV row each per cluster count: 3003"
                        " at step 10, 3 478 761 at step 2, and 96 560 646 at step 1, about"

@@ -275,19 +275,12 @@ def cut(dendrogram: Dendrogram, n_clusters: int, entities) -> tuple[tuple[str, .
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A partition of the entity set into candidate services."""
-
-    codebase: str
-    clusters: tuple[tuple[str, ...], ...]  # canonical: members sorted, clusters sorted
-    weights: Weights
-
-    def serialize(self) -> str:
-        document = {
-            "codebase": self.codebase,
-            "weights": list(self.weights.as_tuple()),
-            "nClusters": len(self.clusters),
-            "clusters": [list(cluster) for cluster in self.clusters],
-        }
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+def decomposition_json(codebase: str, clusters, weights: Weights) -> str:
+    """Candidate services as `cut` returns them (members and clusters sorted), in JSON."""
+    document = {
+        "codebase": codebase,
+        "weights": list(weights.as_tuple()),
+        "nClusters": len(clusters),
+        "clusters": [list(cluster) for cluster in clusters],
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -178,35 +178,29 @@ def csv_cell(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    entities: tuple[str, ...]  # sorted
-    values: np.ndarray  # square, [0, 1], unit diagonal
+def matrix_csv(entities, values: np.ndarray) -> str:
+    """Header row of entities, then one row per entity with its cells to six decimals.
 
-    def to_csv(self) -> str:
-        """Header row of entities, then one row per entity with its cells to six decimals.
+    Entity names are quoted as csv.writer quotes them (`csv_cell`), so a
+    name holding a comma, a quote or a line break stays one cell.
 
-        Entity names are quoted as csv.writer quotes them (`csv_cell`), so a
-        name holding a comma, a quote or a line break stays one cell.
-
-        Blended matrices hold few distinct values, so each distinct float64 bit
-        pattern is formatted once: one sort finds the patterns, a binary search
-        finds each cell's, and the rows are joined from the looked-up strings.
-        Keying on bits, not on float equality, keeps -0.0 apart from 0.0, so
-        every cell reads as its own `f"{v:.6f}"`.
-        """
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        cells = values.view(np.uint64).ravel()
-        bits = np.sort(cells)
-        first = np.ones(bits.shape, dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=first[1:])
-        bits = bits[first]
-        text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
-        rows = text[np.searchsorted(bits, cells).reshape(values.shape)].tolist()
-        names = list(map(csv_cell, self.entities))
-        lines = ["entity," + ",".join(names)]
-        lines.extend(name + "," + ",".join(row) for name, row in zip(names, rows))
-        return "\n".join(lines) + "\n"
+    Blended matrices hold few distinct values, so each distinct float64 bit pattern is
+    formatted once: one sort finds the patterns, a binary search finds each cell's, and
+    the rows are joined from the looked-up strings.  Keying on bits, not on float
+    equality, keeps -0.0 apart from 0.0, so every cell reads as its own `f"{v:.6f}"`.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    cells = values.view(np.uint64).ravel()
+    bits = np.sort(cells)
+    first = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
+    text = np.array([f"{v:.6f}" for v in bits.view(np.float64).tolist()], dtype=object)
+    rows = text[np.searchsorted(bits, cells).reshape(values.shape)].tolist()
+    names = list(map(csv_cell, entities))
+    lines = ["entity," + ",".join(names)]
+    lines.extend(name + "," + ",".join(row) for name, row in zip(names, rows))
+    return "\n".join(lines) + "\n"
 
 
 def build_similarity_matrix(
@@ -214,9 +208,9 @@ def build_similarity_matrix(
     history: DevelopmentHistory,
     entity_files: dict[str, str | None],
     weights: Weights,
-) -> SimilarityMatrix:
-    """Blend the six measures into one similarity matrix over sorted entities."""
+) -> np.ndarray:
+    """The blend of the six measures, rows and columns in `model.entities` order."""
     if not model.entities:
         raise SimilarityError("model has no entities")
     stack = measure_matrices(model, history, entity_files, weights)
-    return SimilarityMatrix(model.entities, blend(stack, weights))
+    return blend(stack, weights)

@@ -262,7 +262,7 @@ def read_results_csv(text: str) -> list[ResultRow]:
         if not all(v.isascii() and v.isdigit() for v in integers):
             raise SweepError(f"bad results CSV row {record}: integer cells must be ASCII digits")
         metrics = record[_METRIC_CELLS]
-        if any("_" in v or v != v.strip() for v in metrics):
+        if any(not v.isascii() or "_" in v or v != v.strip() for v in metrics):
             raise SweepError(f"bad results CSV row {record}: malformed metric cell")
         try:
             n_clusters, *weights = map(int, integers)

@@ -393,8 +393,15 @@ def test_mine_missing_source_is_usage_error(tmp_path, capsys):
     [
         ("--window-secs", "-10", "argument --window-secs: expected a non-negative integer"),
         ("--max-files", "0", "argument --max-files: expected a positive integer"),
+        # int() reads these as 3600 and 100
+        (
+            "--window-secs",
+            "\u0663\u0666\u0660\u0660",
+            "argument --window-secs: expected a non-negative integer",
+        ),
+        ("--max-files", "\u0661\u0660\u0660", "argument --max-files: expected a positive integer"),
     ],
-    ids=["window-secs", "max-files"],
+    ids=["window-secs", "max-files", "window-secs-non-ascii", "max-files-non-ascii"],
 )
 def test_bad_mine_flag_is_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "history.json"
@@ -564,7 +571,7 @@ def test_decompose_impossible_cut_is_pipeline_error(fixture_repo, tmp_path, acce
     assert "cannot cut" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("clusters", ["0", "-2"])
+@pytest.mark.parametrize("clusters", ["0", "-2", "\u0661\u0660"])  # int() reads the last as 10
 def test_decompose_bad_cluster_count_is_usage_error(tmp_path, accesses_path, capsys, clusters):
     out = tmp_path / "d.json"
     with pytest.raises(SystemExit) as info:
@@ -639,8 +646,24 @@ def test_sweep_parallelism_flag_matches_serial(fixture_repo, tmp_path, accesses_
     [
         (["sweep", "--step", "7"], "argument --step: invalid choice: 7"),
         (["--parallelism", "0", "sweep"], "argument --parallelism: expected a positive integer"),
+        # int() reads each of these as 10 or 2
+        *(
+            (["sweep", "--step", step], "argument --step: expected a non-negative integer")
+            for step in ("1_0", " 10 ", "\u0661\u0660")
+        ),
+        (
+            ["--parallelism", "\u0662", "sweep"],
+            "argument --parallelism: expected a positive integer",
+        ),
     ],
-    ids=["step", "parallelism"],
+    ids=[
+        "step",
+        "parallelism",
+        "step-underscore",
+        "step-padded",
+        "step-non-ascii",
+        "parallelism-non-ascii",
+    ],
 )
 def test_bad_step_or_parallelism_is_usage_error(
     fixture_repo, tmp_path, accesses_path, capsys, flags, message
@@ -865,6 +888,10 @@ def test_analyze_bad_stats_file_is_usage_error(tmp_path, capsys):
         (header + "a ,7,8\nb,5,6\n", "codebase name empty or padded with spaces"),
         (header + "b,5,6\n a ,7,8\n", "codebase name empty or padded with spaces"),
         (header + 'b,5,6\n"shop,eu,7,8\n', "bad stats row"),  # the quote is never closed
+        # counts float() reads as 412, 30 and 412, in forms the results CSV rejects
+        (header + "a,4_12,2\nb,5,6\n", "bad stats row"),
+        (header + "a,1,3\nb, 30 ,4\n", "bad stats row"),
+        (header + "c,\u0664\u0661\u0662,1\nb,5,6\n", "bad stats row"),
     ]
     for text, message in cases:
         stats.write_text(text, encoding="utf-8")

@@ -13,10 +13,10 @@ from scipy.spatial.distance import squareform
 
 from monosplit import (
     ClusteringError,
-    Decomposition,
     Weights,
     agglomerate,
     cut,
+    decomposition_json,
     enumerate_weights,
     to_dissimilarity,
 )
@@ -502,8 +502,8 @@ def test_agglomerate_stack_rejects_bad_shape(shape):
 
 
 def test_serialize_layout():
-    decomposition = Decomposition("shop", (("a", "b"), ("c",)), Weights(100, 0, 0, 0, 0, 0))
-    assert decomposition.serialize() == (
+    text = decomposition_json("shop", (("a", "b"), ("c",)), Weights(100, 0, 0, 0, 0, 0))
+    assert text == (
         "{\n"
         '  "clusters": [\n'
         '    [\n      "a",\n      "b"\n    ],\n'
@@ -517,10 +517,8 @@ def test_serialize_layout():
 
 
 def test_serialize_parse_round_trip():
-    decomposition = Decomposition("shop", (("a", "b"), ("c",)), Weights(0, 0, 0, 40, 30, 30))
-    raw = json.loads(decomposition.serialize())
-    assert raw["nClusters"] == len(decomposition.clusters)
-    again = Decomposition(
-        raw["codebase"], tuple(map(tuple, raw["clusters"])), Weights(*raw["weights"])
-    )
-    assert again == decomposition
+    clusters, weights = (("a", "b"), ("c",)), Weights(0, 0, 0, 40, 30, 30)
+    raw = json.loads(decomposition_json("shop", clusters, weights))
+    assert raw["nClusters"] == len(clusters)
+    again = (raw["codebase"], tuple(map(tuple, raw["clusters"])), Weights(*raw["weights"]))
+    assert again == ("shop", clusters, weights)

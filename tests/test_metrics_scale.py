@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from monosplit import (
-    Decomposition,
     Scorer,
     Weights,
     agglomerate,
     build_similarity_matrix,
     cut,
+    decomposition_json,
     enumerate_weights,
     evaluate,
+    matrix_csv,
     run_sweep,
     to_dissimilarity,
     write_results_csv,
@@ -207,10 +208,10 @@ DECOMPOSE_SHA256 = {
 def _check_decompose_pins(n_entities, weights, model, history, files):
     matrix_sha, decomposition_sha = DECOMPOSE_SHA256[(n_entities, weights)]
     matrix = build_similarity_matrix(model, history, files, Weights(*weights))
-    clusters = cut(agglomerate(to_dissimilarity(matrix.values)), 5, matrix.entities)
-    decomposition = Decomposition("synth", clusters, Weights(*weights))
-    assert hashlib.sha256(matrix.to_csv().encode()).hexdigest() == matrix_sha
-    assert hashlib.sha256(decomposition.serialize().encode()).hexdigest() == decomposition_sha
+    clusters = cut(agglomerate(to_dissimilarity(matrix)), 5, model.entities)
+    decomposition = decomposition_json("synth", clusters, Weights(*weights))
+    assert hashlib.sha256(matrix_csv(model.entities, matrix).encode()).hexdigest() == matrix_sha
+    assert hashlib.sha256(decomposition.encode()).hexdigest() == decomposition_sha
 
 
 @pytest.mark.parametrize("weights", sorted(w for n, w in DECOMPOSE_SHA256 if n == 24))

@@ -15,12 +15,12 @@ import oracles
 from monosplit import (
     DevelopmentHistory,
     SimilarityError,
-    SimilarityMatrix,
     Weights,
     build_similarity_matrix,
     enumerate_weights,
     load_access_model,
     map_entities_to_files,
+    matrix_csv,
 )
 from monosplit.similarity import (
     MEASURE_NAMES,
@@ -236,8 +236,8 @@ HAND_COMMITS = [
 ]
 
 
-def _at(matrix, entity_a, entity_b):
-    return float(matrix.values[matrix.entities.index(entity_a), matrix.entities.index(entity_b)])
+def _at(model, matrix, entity_a, entity_b):
+    return float(matrix[model.entities.index(entity_a), model.entities.index(entity_b)])
 
 
 def test_blend_matches_hand_value():
@@ -245,18 +245,18 @@ def test_blend_matches_hand_value():
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"]]})
     entity_files = {"A": "src/A.java", "B": "src/B.java"}
     matrix = build_similarity_matrix(model, history, entity_files, Weights(0, 0, 0, 0, 50, 50))
-    assert _at(matrix, "A", "B") == pytest.approx(7 / 12)  # (50*(2/3) + 50*(1/2)) / 100
-    assert _at(matrix, "B", "A") == 1.0
-    assert _at(matrix, "A", "A") == 1.0
-    assert _at(matrix, "B", "B") == 1.0
+    assert _at(model, matrix, "A", "B") == pytest.approx(7 / 12)  # (50*(2/3) + 50*(1/2)) / 100
+    assert _at(model, matrix, "B", "A") == 1.0
+    assert _at(model, matrix, "A", "A") == 1.0
+    assert _at(model, matrix, "B", "B") == 1.0
 
 
 def test_unmapped_entity_contributes_zero_history(small_history):
     model = _model({"f1": [["A", "R"], ["Ghost", "W"]]})
     entity_files = {"A": "src/A.java", "Ghost": None}
     matrix = build_similarity_matrix(model, small_history, entity_files, Weights(0, 0, 0, 0, 50, 50))
-    assert _at(matrix, "A", "Ghost") == 0.0
-    assert _at(matrix, "Ghost", "A") == 0.0
+    assert _at(model, matrix, "A", "Ghost") == 0.0
+    assert _at(model, matrix, "Ghost", "A") == 0.0
 
 
 def test_missing_map_entry_with_history_weights_raises(small_history):
@@ -270,8 +270,8 @@ def test_history_and_map_not_read_without_history_weights(weights):
     model = _model({"f1": [["A", "R"], ["B", "W"]], "f2": [["B", "R"], ["C", "W"]]})
     matrix = build_similarity_matrix(model, Unreadable(), Unreadable(), Weights(*weights))
     full = measure_matrices(model, empty_history(), dict.fromkeys(model.entities))
-    assert _same_bits(matrix.values, blend(full, Weights(*weights)))
-    assert _at(matrix, "A", "B") > 0
+    assert _same_bits(matrix, blend(full, Weights(*weights)))
+    assert _at(model, matrix, "A", "B") > 0
 
 
 def test_each_history_measure_reads_the_history_only_when_weighted(small_history):
@@ -321,8 +321,8 @@ def test_map_to_file_absent_from_history_reads_as_unmapped(small_history):
     weights = Weights(0, 0, 0, 0, 50, 50)
     lost = build_similarity_matrix(model, small_history, {"A": "src/A.java", "B": "src/Nope.java"}, weights)
     unmapped = build_similarity_matrix(model, small_history, {"A": "src/A.java", "B": None}, weights)
-    assert _same_bits(lost.values, unmapped.values)
-    assert _at(lost, "A", "B") == _at(lost, "B", "A") == 0.0
+    assert _same_bits(lost, unmapped)
+    assert _at(model, lost, "A", "B") == _at(model, lost, "B", "A") == 0.0
 
 
 def test_map_entities_by_basename(small_history):
@@ -362,7 +362,7 @@ def test_matrix_csv_format():
     model = _model({"f1": [["A", "R"], ["B", "W"]]})
     entity_files = {"A": "src/A.java", "B": "src/B.java"}
     matrix = build_similarity_matrix(model, history, entity_files, Weights(0, 0, 0, 0, 50, 50))
-    lines = matrix.to_csv().splitlines()
+    lines = matrix_csv(model.entities, matrix).splitlines()
     assert lines[0] == "entity,A,B"
     assert lines[1] == "A,1.000000,0.583333"
     assert lines[2] == "B,1.000000,1.000000"
@@ -372,8 +372,7 @@ def test_matrix_csv_format():
 def test_matrix_csv_quotes_entity_names():
     """A name holding a comma, a quote or a line break stays one cell; a plain one keeps its bytes."""
     entities = ("a,b", 'd"e', "plain", "x\ny")
-    matrix = SimilarityMatrix(entities, np.eye(len(entities)))
-    text = matrix.to_csv()
+    text = matrix_csv(entities, np.eye(len(entities)))
     header, *rows = csv.reader(io.StringIO(text))
     assert header == ["entity", *entities]
     assert [row[0] for row in rows] == list(entities)
@@ -381,14 +380,14 @@ def test_matrix_csv_quotes_entity_names():
     assert "\nplain,0.000000,0.000000,1.000000,0.000000\n" in text
 
 
-def _per_cell_csv(matrix):
+def _per_cell_csv(entities, values):
     """The matrix CSV that csv.writer writes with one f-string per cell, the writer's reference."""
-    if not matrix.entities:
+    if not entities:
         return "entity,\n"  # the header of no names keeps its comma, as the writer always wrote it
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["entity", *matrix.entities])
-    for entity, row in zip(matrix.entities, matrix.values):
+    writer.writerow(["entity", *entities])
+    for entity, row in zip(entities, values):
         writer.writerow([entity, *(f"{v:.6f}" for v in row)])
     return buffer.getvalue()
 
@@ -429,8 +428,8 @@ def float_matrices(draw):
 @example(np.eye(8), ["", " ", "a,b", 'a"b', "\r", "\n", "\u2028", "plain"])
 def test_matrix_csv_formats_every_cell_as_its_own_f_string(values, names):
     """... and writes every entity name as csv.writer does, quoted only where it must be."""
-    matrix = SimilarityMatrix(tuple(names[: len(values)]), values)
-    assert matrix.to_csv() == _per_cell_csv(matrix)
+    entities = tuple(names[: len(values)])
+    assert matrix_csv(entities, values) == _per_cell_csv(entities, values)
 
 
 def _random_setup(seed, n_entities=6):
@@ -477,7 +476,7 @@ def test_concentrated_weights_reproduce_each_measure(index, name):
     stack = measure_matrices(model, history, files)
     vector = [0] * 6
     vector[index] = 100
-    blended = build_similarity_matrix(model, history, files, Weights(*vector)).values
+    blended = build_similarity_matrix(model, history, files, Weights(*vector))
     n = len(model.entities)
     off_diagonal = ~np.eye(n, dtype=bool)
     # up to one rounding of the multiply/divide by 100 round trip

@@ -202,8 +202,8 @@ def test_sweep_metrics_are_in_range(small_sweep):
 def _decompose_clusters(model, history, files, weights, counts):
     """The clusters `decompose` returns for these weights, by cluster count."""
     matrix = build_similarity_matrix(model, history, files, weights)
-    dendrogram = agglomerate(to_dissimilarity(matrix.values))
-    return {n: cut(dendrogram, n, matrix.entities) for n in counts}
+    dendrogram = agglomerate(to_dissimilarity(matrix))
+    return {n: cut(dendrogram, n, model.entities) for n in counts}
 
 
 def _single_runs(model, history, files, weights, counts):
@@ -574,6 +574,7 @@ def test_sweep_output_is_deterministic():
                 "3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.2_5,0.5,0.3875",
                 "3,10,20,30,40,0,0,SEQUENCES_ONLY, 0.1,0.2,0.25,0.5,0.3875",
                 "3,10,20,30,40,0,0,SEQUENCES_ONLY,0.1,0.2,0.25,0.5,0.3875\t",
+                "3,10,20,30,40,0,0,SEQUENCES_ONLY,\u0660.\u0661,0.2,0.25,0.5,0.3875",
             )
         ),
     ],

@@ -83,6 +83,6 @@ def test_traced_sweep_counts_what_was_swept(tmp_path):
     partitions = set()
     for weights in enumerate_weights(50):
         matrix = build_similarity_matrix(model, history, files, weights)
-        dendrogram = agglomerate(to_dissimilarity(matrix.values))
+        dendrogram = agglomerate(to_dissimilarity(matrix))
         partitions.update(cuts(dendrogram, counts_of_clusters).values())
     assert counts["metrics.evaluate_calls"] == len(partitions)
