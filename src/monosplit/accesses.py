@@ -47,7 +47,9 @@ def load_access_model(text: str) -> AccessModel:
     """Parse the accesses JSON mapping functionality name -> [[entity, mode], ...]."""
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except AccessModelError:  # a duplicate key, as `_reject_duplicate_keys` words it
+        raise
+    except ValueError as exc:  # also an integer of more digits than `int` reads from a string
         raise AccessModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise AccessModelError("top level must be an object of functionalities")

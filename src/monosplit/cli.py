@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -49,15 +50,21 @@ class UsageError(Exception):
 
 # ASCII digits, as `--weights` takes them: int() also reads `1_0`, ` 10 ` and non-ASCII digits
 def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    value = _non_negative_int(text, "positive")
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
-def _non_negative_int(text: str) -> int:
+def _non_negative_int(text: str, expected: str = "non-negative") -> int:
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {expected} integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than `int` reads from a string
+        raise argparse.ArgumentTypeError(
+            f"expected a {expected} integer, got {len(text)} digits"
+        ) from None
 
 
 def _read_text(path: str, errors: str = "strict") -> str:
@@ -214,7 +221,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on the first; do not change it.
+
+    Not built at import, which keeps it off a process's set-up. Calls share nothing through
+    it: parse_args returns a fresh namespace and leaves the parser as it was, and help is laid
+    out at the terminal width of the moment it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="monosplit",
         description="Derive candidate microservice decompositions of a monolith "

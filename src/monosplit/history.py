@@ -411,7 +411,7 @@ class DevelopmentHistory:
         """
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of more digits than `int` reads from a string
             raise HistoryError(f"invalid history JSON: {exc}") from exc
         if not isinstance(raw, dict) or set(raw) != {"fileChanges", "authorship"}:
             raise HistoryError("history JSON must have fileChanges and authorship")

@@ -56,6 +56,20 @@ def test_schema_errors(payload):
         load_access_model(payload)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # `int` reads at most 4300 digits from a string: json.loads raised a bare ValueError
+        ('{"f": [["A", ' + "1" * 5000 + "]]}", r"^invalid JSON: Exceeds the limit \(4300 digits\)"),
+        ('{"f": [], "f": []}', r"^duplicate functionality key: 'f'$"),
+    ],
+    ids=["5000-digit-integer", "duplicate-key"],
+)
+def test_json_errors_are_access_model_errors(payload, message):
+    with pytest.raises(AccessModelError, match=message):
+        load_access_model(payload)
+
+
 traces_strategy = st.dictionaries(
     st.text(alphabet="abcdef", min_size=1, max_size=4),
     st.lists(

@@ -28,6 +28,12 @@ from monosplit.history import GIT_LOG_ARGS
 from monosplit.sweep import CSV_COLUMNS
 
 
+# `int` reads at most 4300 digits from a string
+_DIGITS_5000 = "1" * 5000
+# argparse names the type function when it raises a plain ValueError
+_PRIVATE_NAMES = re.compile(r"_positive_int|_non_negative_int")
+
+
 def _mine(fixture_repo, tmp_path, name="history.json"):
     out = tmp_path / name
     assert main(["mine", str(fixture_repo), "--out", str(out)]) == 0
@@ -75,15 +81,23 @@ def test_readme_usage_blocks_list_the_parser_options():
 
 
 _COLD_START = """
-import json, sys
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
 import monosplit.cli
+parsers_at_import = built[:]
 def loaded():
     return [m for m in sys.modules
             if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"]
 after_import = loaded()
 from monosplit.analysis import welch_test
 p_value = welch_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6]).p_value
-print(json.dumps({"after_import": after_import, "after_welch": loaded(), "p_value": p_value}))
+print(json.dumps({"after_import": after_import, "after_welch": loaded(), "p_value": p_value,
+                  "parsers_at_import": parsers_at_import}))
 """
 
 
@@ -95,6 +109,8 @@ def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():
     )
     facts = json.loads(child.stdout)
     assert facts["after_import"] == []
+    # the parser is built on the first `main` call, so setting up a process pays no argparse
+    assert facts["parsers_at_import"] == []
     # the t tail is computed with math alone
     assert facts["after_welch"] == []
     assert facts["p_value"] == pytest.approx(0.8267, abs=5e-4)  # test_welch_reference_case
@@ -142,6 +158,83 @@ def test_each_call_applies_its_own_quiet_on_its_own_stderr(tmp_path, accesses_pa
         f"WARNING monosplit.sweep: dropped all {dropped} rows of shop: history has no authors",
         f"{dropped} rows failed and were dropped",
     ]
+
+
+# One parser serves every `main` call in a process: each call's flags reach that call alone.
+
+
+def test_one_parser_builds_once_across_calls(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in ("a.json", "b.json", "c.json"):
+        assert main(["mine", str(DATA / "bundling.log"), "--out", str(tmp_path / name)]) == 0
+    # the root parser and one per subcommand, each once
+    assert built == [
+        "monosplit",
+        "monosplit mine",
+        "monosplit decompose",
+        "monosplit sweep",
+        "monosplit analyze",
+    ]
+
+
+def test_a_matrix_out_does_not_carry_into_the_next_decompose(
+    fixture_repo, tmp_path, accesses_path
+):
+    history = _mine(fixture_repo, tmp_path)
+    matrix = tmp_path / "matrix.csv"
+    base = [
+        "decompose",
+        "--history", str(history),
+        "--accesses", str(accesses_path),
+        "--weights", "50,0,0,0,50,0",
+        "--clusters", "2",
+    ]
+    assert main(base + ["--matrix-out", str(matrix), "--out", str(tmp_path / "a.json")]) == 0
+    assert matrix.exists()
+    matrix.unlink()
+    assert main(base + ["--out", str(tmp_path / "b.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "history.json"]
+
+
+def test_a_parallelism_does_not_carry_into_the_next_sweep(tmp_path, accesses_path, monkeypatch):
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"fileChanges": {}, "authorship": {}}))
+    seen = []
+
+    def recording_sweep(*args, parallelism, **kwargs):
+        seen.append(parallelism)
+        return [], 0
+
+    monkeypatch.setattr("monosplit.cli.run_sweep", recording_sweep)
+    args = [
+        "sweep",
+        "--history", str(history),
+        "--accesses", str(accesses_path),
+        "--codebase", "shop",
+        "--out", str(tmp_path / "results.csv"),
+    ]
+    assert main(["--parallelism", "2"] + args) == 0
+    assert main(args) == 0
+    assert seen == [2, 1]
+
+
+def test_a_call_after_a_usage_error_succeeds(tmp_path, capsys):
+    out = tmp_path / "history.json"
+    with pytest.raises(SystemExit) as info:
+        main(["mine", str(DATA / "bundling.log"), "--max-files", "0", "--out", str(out)])
+    assert info.value.code == 2
+    assert "argument --max-files: expected a positive integer" in capsys.readouterr().err
+    assert main(["mine", str(DATA / "bundling.log"), "--out", str(out)]) == 0
+    assert out.exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_version_flag_exits_cleanly(capsys):
@@ -400,15 +493,35 @@ def test_mine_missing_source_is_usage_error(tmp_path, capsys):
             "argument --window-secs: expected a non-negative integer",
         ),
         ("--max-files", "\u0661\u0660\u0660", "argument --max-files: expected a positive integer"),
+        # more digits than int() reads from a string
+        (
+            "--window-secs",
+            _DIGITS_5000,
+            "argument --window-secs: expected a non-negative integer, got 5000 digits",
+        ),
+        (
+            "--max-files",
+            _DIGITS_5000,
+            "argument --max-files: expected a positive integer, got 5000 digits",
+        ),
     ],
-    ids=["window-secs", "max-files", "window-secs-non-ascii", "max-files-non-ascii"],
+    ids=[
+        "window-secs",
+        "max-files",
+        "window-secs-non-ascii",
+        "max-files-non-ascii",
+        "window-secs-5000-digits",
+        "max-files-5000-digits",
+    ],
 )
 def test_bad_mine_flag_is_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "history.json"
     with pytest.raises(SystemExit) as info:
         main(["mine", str(DATA / "bundling.log"), flag, value, "--out", str(out)])
     assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert not _PRIVATE_NAMES.search(err)
     assert not out.exists()
 
 
@@ -571,8 +684,19 @@ def test_decompose_impossible_cut_is_pipeline_error(fixture_repo, tmp_path, acce
     assert "cannot cut" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("clusters", ["0", "-2", "\u0661\u0660"])  # int() reads the last as 10
-def test_decompose_bad_cluster_count_is_usage_error(tmp_path, accesses_path, capsys, clusters):
+@pytest.mark.parametrize(
+    "clusters, message",
+    [
+        ("0", "expected a positive integer, got '0'"),
+        ("-2", "expected a positive integer, got '-2'"),
+        ("\u0661\u0660", "expected a positive integer, got '\u0661\u0660'"),  # int() reads 10
+        (_DIGITS_5000, "expected a positive integer, got 5000 digits"),
+    ],
+    ids=["0", "-2", "\u0661\u0660", "5000-digits"],
+)
+def test_decompose_bad_cluster_count_is_usage_error(
+    tmp_path, accesses_path, capsys, clusters, message
+):
     out = tmp_path / "d.json"
     with pytest.raises(SystemExit) as info:
         main(
@@ -586,7 +710,9 @@ def test_decompose_bad_cluster_count_is_usage_error(tmp_path, accesses_path, cap
             ]
         )
     assert info.value.code == 2
-    assert "argument --clusters: expected a positive integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument --clusters: {message}" in err
+    assert not _PRIVATE_NAMES.search(err)
     assert not out.exists()
 
 
@@ -655,6 +781,15 @@ def test_sweep_parallelism_flag_matches_serial(fixture_repo, tmp_path, accesses_
             ["--parallelism", "\u0662", "sweep"],
             "argument --parallelism: expected a positive integer",
         ),
+        # more digits than int() reads from a string
+        (
+            ["sweep", "--step", _DIGITS_5000],
+            "argument --step: expected a non-negative integer, got 5000 digits",
+        ),
+        (
+            ["--parallelism", _DIGITS_5000, "sweep"],
+            "argument --parallelism: expected a positive integer, got 5000 digits",
+        ),
     ],
     ids=[
         "step",
@@ -663,6 +798,8 @@ def test_sweep_parallelism_flag_matches_serial(fixture_repo, tmp_path, accesses_
         "step-padded",
         "step-non-ascii",
         "parallelism-non-ascii",
+        "step-5000-digits",
+        "parallelism-5000-digits",
     ],
 )
 def test_bad_step_or_parallelism_is_usage_error(
@@ -674,7 +811,9 @@ def test_bad_step_or_parallelism_is_usage_error(
     with pytest.raises(SystemExit) as info:
         main(flags + args + ["--out", str(results)])
     assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert not _PRIVATE_NAMES.search(err)
     assert not results.exists()
 
 

@@ -549,6 +549,15 @@ def test_malformed_history_json_rejected(mutate):
         DevelopmentHistory.parse(json.dumps(raw))
 
 
+def test_history_json_integer_beyond_the_int_digit_limit_is_a_history_error():
+    """`int` reads at most 4300 digits from a string; json.loads raised a bare ValueError."""
+    count = "1" * 5000
+    text = '{"fileChanges": {"P.java": {"count": ' + count + ', "with": {}}}, "authorship": {}}'
+    message = r"^invalid history JSON: Exceeds the limit \(4300 digits\)"
+    with pytest.raises(HistoryError, match=message):
+        DevelopmentHistory.parse(text)
+
+
 # counts the loader must reject, and ints beyond int64, which the former loader took
 _ODD_COUNTS = st.sampled_from(
     [True, False, None, 1.0, 1.5, "1", [1], 0, -1, 2**63, 2**64, -(2**63) - 1]
